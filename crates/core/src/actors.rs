@@ -12,8 +12,13 @@
 //! * **Interests** (Figure 5): key actors' posting mix across board
 //!   categories before, during and after eWhoring ("we removed all
 //!   activity in … 'The Lounge'").
+//!
+//! The per-actor tallies all of these read, plus Table 7's Currency
+//! Exchange ledger, come from one survey fold, [`ActorFold`], whatever
+//! the run mode.
 
-use crimebb::{ActorId, BoardCategory, Corpus, ThreadId};
+use crate::finance::CurrencyExchangeAnalysis;
+use crimebb::{ActorId, BoardCategory, Corpus, ForumId, Post, Thread, ThreadId};
 use serde::{Deserialize, Serialize};
 use socgraph::{eigenvector_centrality_par, h_index, i_index, DiGraph};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -69,15 +74,23 @@ pub struct CohortRow {
 /// Table 8 thresholds.
 pub const COHORT_THRESHOLDS: [usize; 7] = [1, 10, 50, 100, 200, 500, 1000];
 
-/// Per-actor streaming counters behind the Table 8 / Figure 4 assembly
-/// (carried in the epoch carry's `ActorsCarry`). Each post is folded
-/// exactly once, at the epoch it arrives; [`ActorFold::metrics`] then
-/// assembles the same rows as [`actor_metrics`] over the full corpus.
+/// The actor survey: one mergeable fold behind Table 7, Table 8 /
+/// Figure 4, and the §6.1 interaction graph.
 ///
-/// Every counter is an integer count or a `min`/`max` over post days —
-/// all order-insensitive — so the fold is exact regardless of how the
-/// timeline is sliced into epochs, and there is no float operand order
-/// to preserve.
+/// It takes one step per post (`note_post`) and one per thread
+/// (`note_thread`). A run mode only chooses what the fold walks: batch
+/// walks the whole corpus once ([`ActorFold::survey`]), each shard walks
+/// its forum span and the coordinator joins the partials with
+/// [`ActorFold::merge`], and an epoch run carries the fold and steps it
+/// over each new slice. The finishers ([`ActorFold::metrics`],
+/// `ce_by_actor`, `currency_exchange`) read the same state in every
+/// mode.
+///
+/// Nothing in the fold depends on walk order. The counters are integer
+/// counts or `min`/`max` over post days. Every graph weight is a count
+/// of 1.0, exact in f64, and [`DiGraph`] keeps each adjacency list
+/// sorted, so the graph is the same for any edge order. The CE ledger
+/// only feeds counts keyed by actor or currency label.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorFold {
     /// Posts in eWhoring threads, indexed by actor id.
@@ -92,12 +105,19 @@ pub struct ActorFold {
     pub first_post: Vec<Day>,
     /// Last post day anywhere (`Day(0)` sentinel).
     pub last_post: Vec<Day>,
+    /// The §6.1 reply/quote graph over eWhoring threads; node ids are
+    /// `ActorId` values.
+    pub graph: DiGraph,
+    /// Every Currency Exchange thread walked, `(author, thread)`. The
+    /// Table 7 gates are applied by the finishers, because an actor can
+    /// cross the post threshold after opening the thread.
+    pub ce_ledger: Vec<(ActorId, ThreadId)>,
 }
 
 impl ActorFold {
-    /// Sizes every counter vector for `n_actors` (actors are
-    /// registration-time metadata and exist from epoch 0, so the node
-    /// set never grows). Idempotent on warm carries.
+    /// Sizes every per-actor vector and the graph's node set for
+    /// `n_actors` (actors are registration-time metadata and exist from
+    /// epoch 0, so the node set never grows). Idempotent on warm carries.
     pub fn ensure(&mut self, n_actors: usize) {
         self.ew_posts.resize(n_actors, 0);
         self.total_posts.resize(n_actors, 0);
@@ -105,29 +125,79 @@ impl ActorFold {
         self.last_ew.resize(n_actors, Day(0));
         self.first_post.resize(n_actors, Day(u32::MAX));
         self.last_post.resize(n_actors, Day(0));
+        self.graph.ensure_nodes(n_actors);
     }
 
-    /// Folds one post into the counters. `in_ew` is whether the post's
-    /// thread is in the extracted eWhoring set — membership is decided
-    /// by the heading at thread creation, so the answer is identical at
-    /// every later epoch.
-    pub fn note_post(&mut self, actor: ActorId, date: Day, in_ew: bool) {
-        let i = actor.0 as usize;
-        self.total_posts[i] += 1;
-        self.first_post[i] = self.first_post[i].min(date);
-        self.last_post[i] = self.last_post[i].max(date);
-        if in_ew {
-            self.ew_posts[i] += 1;
-            self.first_ew[i] = self.first_ew[i].min(date);
-            self.last_ew[i] = self.last_ew[i].max(date);
+    /// The batch schedule: one pass over every post and thread of
+    /// `corpus`, with `ewhoring_threads` as the extraction set.
+    pub fn survey(corpus: &Corpus, ewhoring_threads: &[ThreadId]) -> ActorFold {
+        let ewset: HashSet<ThreadId> = ewhoring_threads.iter().copied().collect();
+        let mut fold = ActorFold::default();
+        fold.ensure(corpus.actors().len());
+        fold.walk(corpus, &ewset, corpus.posts(), corpus.threads());
+        fold
+    }
+
+    /// Steps the fold over `posts` and `threads`. `ewset` is the
+    /// extraction set that decides which posts are eWhoring posts.
+    pub(crate) fn walk<'c>(
+        &mut self,
+        corpus: &Corpus,
+        ewset: &HashSet<ThreadId>,
+        posts: impl IntoIterator<Item = &'c Post>,
+        threads: impl IntoIterator<Item = &'c Thread>,
+    ) {
+        for post in posts {
+            self.note_post(corpus, post, ewset.contains(&post.thread));
+        }
+        for thread in threads {
+            self.note_thread(corpus, thread);
         }
     }
 
-    /// Merges another fold's counters in — the shard coordinator's half
-    /// of the fold. Counts add; first/last days take min/max, matching
-    /// the sentinels [`ActorFold::ensure`] seeds. Because every post is
-    /// folded into exactly one shard's partial, merging the partials in
-    /// any order reproduces the single-process fold exactly.
+    /// Folds one post in. `in_ew` is whether the post's thread is in the
+    /// extracted eWhoring set; membership is decided by the heading at
+    /// thread creation, so the answer is the same at every later epoch.
+    /// An eWhoring reply adds one interaction edge: to the quoted post's
+    /// author, else to the thread starter (paper §6.1). The opening post
+    /// replies to nothing.
+    fn note_post(&mut self, corpus: &Corpus, post: &Post, in_ew: bool) {
+        let i = post.author.index();
+        self.total_posts[i] += 1;
+        self.first_post[i] = self.first_post[i].min(post.date);
+        self.last_post[i] = self.last_post[i].max(post.date);
+        if !in_ew {
+            return;
+        }
+        self.ew_posts[i] += 1;
+        self.first_ew[i] = self.first_ew[i].min(post.date);
+        self.last_ew[i] = self.last_ew[i].max(post.date);
+        if corpus.posts_in_thread(post.thread).first() == Some(&post.id) {
+            return;
+        }
+        let target = match post.quotes {
+            Some(q) => corpus.post(q).author,
+            None => corpus.thread(post.thread).author,
+        };
+        if post.author != target {
+            self.graph.add_edge(post.author.0, target.0, 1.0);
+        }
+    }
+
+    /// Folds one thread in: a Currency Exchange thread joins the CE
+    /// ledger. Board and author are fixed at creation.
+    fn note_thread(&mut self, corpus: &Corpus, thread: &Thread) {
+        if corpus.board(thread.board).category == BoardCategory::CurrencyExchange {
+            self.ce_ledger.push((thread.author, thread.id));
+        }
+    }
+
+    /// Joins another fold's partial in, the shard coordinator's half of
+    /// the fold. Counts and edge weights add, first/last days take
+    /// min/max (matching the sentinels [`ActorFold::ensure`] seeds), and
+    /// the CE ledgers concatenate. Every post and thread is walked by
+    /// exactly one partial, so merging in any order reproduces the
+    /// single-pass fold.
     pub fn merge(&mut self, other: &ActorFold) {
         self.ensure(other.ew_posts.len());
         for i in 0..other.ew_posts.len() {
@@ -138,11 +208,17 @@ impl ActorFold {
             self.first_post[i] = self.first_post[i].min(other.first_post[i]);
             self.last_post[i] = self.last_post[i].max(other.last_post[i]);
         }
+        for u in 0..other.graph.node_count() as u32 {
+            for &(v, w) in other.graph.out_edges(u) {
+                self.graph.add_edge(u, v, w);
+            }
+        }
+        self.ce_ledger.extend_from_slice(&other.ce_ledger);
     }
 
-    /// Assembles the [`actor_metrics`] rows from the carried counters:
-    /// every actor with at least one eWhoring post, in ascending actor
-    /// id — the same order `actor_metrics` sorts into.
+    /// Table 8 / Figure 4 finisher: the [`actor_metrics`] rows for every
+    /// actor with at least one eWhoring post, in ascending actor id (the
+    /// order `actor_metrics` sorts into).
     pub fn metrics(&self) -> Vec<ActorMetrics> {
         let mut out = Vec::new();
         for i in 0..self.ew_posts.len() {
@@ -160,6 +236,58 @@ impl ActorFold {
             });
         }
         out
+    }
+
+    /// The Currency Exchange threads that count for Table 7 and the
+    /// key-actor ranking (paper §5.1): started on HackForums by a
+    /// HackForums member with more than 50 eWhoring posts, on or after
+    /// their first eWhoring post.
+    fn qualifying_ce_threads<'a>(
+        &'a self,
+        corpus: &'a Corpus,
+        hackforums: ForumId,
+    ) -> impl Iterator<Item = (ActorId, ThreadId)> + 'a {
+        self.ce_ledger.iter().copied().filter(move |&(actor, t)| {
+            let i = actor.index();
+            self.ew_posts[i] > 50
+                && corpus.actor(actor).forum == hackforums
+                && corpus.forum_of_thread(t) == hackforums
+                && corpus.thread(t).created >= self.first_ew[i]
+        })
+    }
+
+    /// Key-actor finisher: qualifying CE threads per actor (only actors
+    /// with at least one appear).
+    pub(crate) fn ce_by_actor(
+        &self,
+        corpus: &Corpus,
+        hackforums: ForumId,
+    ) -> HashMap<ActorId, usize> {
+        let mut out = HashMap::new();
+        for (actor, _) in self.qualifying_ce_threads(corpus, hackforums) {
+            *out.entry(actor).or_insert(0) += 1;
+        }
+        out
+    }
+
+    /// Table 7 finisher: the currency marginals of the qualifying CE
+    /// threads, equal to [`analyse_currency_exchange`] over the walked
+    /// corpus.
+    ///
+    /// [`analyse_currency_exchange`]: crate::finance::analyse_currency_exchange
+    pub(crate) fn currency_exchange(
+        &self,
+        corpus: &Corpus,
+        hackforums: ForumId,
+    ) -> CurrencyExchangeAnalysis {
+        let mut analysis = CurrencyExchangeAnalysis::default();
+        let mut actors = HashSet::new();
+        for (actor, t) in self.qualifying_ce_threads(corpus, hackforums) {
+            actors.insert(actor);
+            analysis.count_thread(&corpus.thread(t).heading);
+        }
+        analysis.actors = actors.len();
+        analysis
     }
 }
 
@@ -603,6 +731,7 @@ pub fn interest_evolution(
 mod tests {
     use super::*;
     use crate::extract::extract_ewhoring_threads;
+    use crimebb::CorpusBuilder;
     use worldgen::{World, WorldConfig};
 
     fn setup() -> (World, Vec<ThreadId>, Vec<ActorMetrics>) {
@@ -737,31 +866,128 @@ mod tests {
         }
     }
 
-    /// The epoch-carry fold assembles the exact rows the batch
-    /// `actor_metrics` computes: integer counters and min/max day spans
-    /// are order-insensitive, so folding post-by-post over the timeline
-    /// equals the one-shot scan — serialized byte-for-byte.
+    /// The survey's finishers reproduce the batch references exactly,
+    /// whatever the walk schedule: counters, day spans, graph weights
+    /// and CE ledger entries are all order-insensitive. Walked here in
+    /// two uneven slices, the warm-carry shape, rather than one pass.
     #[test]
-    fn actor_fold_matches_batch_actor_metrics() {
+    fn survey_matches_batch_references() {
         let (w, threads, metrics) = setup();
+        let corpus = &w.corpus;
         let ewset: HashSet<ThreadId> = threads.iter().copied().collect();
         let mut fold = ActorFold::default();
-        fold.ensure(w.corpus.actors().len());
-        let posts = w.corpus.posts();
-        // Fold in two arbitrary slices — the warm-carry shape — not one.
-        let split = posts.len() / 3;
-        for post in &posts[..split] {
-            fold.note_post(post.author, post.date, ewset.contains(&post.thread));
-        }
-        for post in &posts[split..] {
-            fold.note_post(post.author, post.date, ewset.contains(&post.thread));
-        }
-        let folded = fold.metrics();
-        assert!(!folded.is_empty());
+        fold.ensure(corpus.actors().len());
+        let (posts, all) = (corpus.posts(), corpus.threads());
+        let (p, t) = (posts.len() / 3, all.len() / 2);
+        fold.walk(corpus, &ewset, &posts[..p], &all[..t]);
+        fold.walk(corpus, &ewset, &posts[p..], &all[t..]);
+        assert!(!metrics.is_empty());
         assert_eq!(
-            serde_json::to_string(&folded).unwrap(),
+            serde_json::to_string(&fold.metrics()).unwrap(),
             serde_json::to_string(&metrics).unwrap(),
-            "folded counters must reproduce the batch scan"
+            "folded counters must reproduce actor_metrics"
+        );
+        assert_eq!(
+            serde_json::to_string(&fold.graph).unwrap(),
+            serde_json::to_string(&interaction_graph(corpus, &threads)).unwrap(),
+            "folded graph must reproduce interaction_graph"
+        );
+        assert_eq!(
+            serde_json::to_string(&fold.currency_exchange(corpus, w.hackforums)).unwrap(),
+            serde_json::to_string(&crate::finance::analyse_currency_exchange(
+                corpus,
+                w.hackforums,
+                &threads
+            ))
+            .unwrap(),
+            "folded CE ledger must reproduce Table 7"
+        );
+        assert_eq!(
+            serde_json::to_string(&ActorFold::survey(corpus, &threads)).unwrap(),
+            serde_json::to_string(&fold).unwrap(),
+            "two slices must equal the one-pass batch survey"
+        );
+    }
+
+    /// Hand-built corpus exercising every gate of the survey's CE
+    /// finishers: the >50-posts threshold, the HackForums-membership
+    /// requirement, and the started-after-first-eWhoring-post cutoff.
+    #[test]
+    fn ce_finishers_apply_every_gate() {
+        let mut b = CorpusBuilder::new();
+        let hf = b.add_forum("Hackforums");
+        let other = b.add_forum("Elsewhere");
+        let ew = b.add_board(hf, "eWhoring", BoardCategory::EWhoring);
+        let ce = b.add_board(hf, "Currency Exchange", BoardCategory::CurrencyExchange);
+        let ew_other = b.add_board(other, "ew", BoardCategory::EWhoring);
+        let ce_other = b.add_board(other, "ce", BoardCategory::CurrencyExchange);
+
+        let reg = Day::from_ymd(2014, 1, 1);
+        let heavy = b.add_actor(hf, "heavy", reg);
+        let light = b.add_actor(hf, "light", reg);
+        let outsider = b.add_actor(other, "outsider", reg);
+        let early = b.add_actor(hf, "early", reg);
+
+        // One eWhoring thread on HF holding everyone's posts, plus one on
+        // the other forum for the outsider.
+        let start = Day::from_ymd(2016, 1, 1);
+        let t_ew = b.add_thread(ew, heavy, "pics", start);
+        for i in 0..60 {
+            // `heavy` and `early` clear the >50 threshold…
+            b.add_post(t_ew, heavy, start.plus_days(i), "p", None);
+            b.add_post(t_ew, early, start.plus_days(i), "p", None);
+        }
+        for i in 60..70 {
+            // …`light` does not (posts must stay chronological in-thread).
+            b.add_post(t_ew, light, start.plus_days(i), "p", None);
+        }
+        let t_ew2 = b.add_thread(ew_other, outsider, "pics", start);
+        for i in 0..60 {
+            b.add_post(t_ew2, outsider, start.plus_days(i), "p", None);
+        }
+
+        // Currency Exchange threads: `heavy` starts two after entering
+        // eWhoring; `light` starts one (filtered: too few posts);
+        // `outsider` starts one on the wrong forum; `early` only started
+        // CE *before* their first eWhoring post.
+        b.add_thread(ce, heavy, "[H] AGC [W] BTC", Day::from_ymd(2016, 6, 1));
+        b.add_thread(ce, heavy, "pp", Day::from_ymd(2016, 7, 1));
+        b.add_thread(ce, light, "btc", Day::from_ymd(2016, 6, 1));
+        b.add_thread(ce_other, outsider, "btc", Day::from_ymd(2016, 6, 1));
+        b.add_thread(ce, early, "btc", Day::from_ymd(2015, 6, 1));
+        let corpus = b.build();
+
+        let survey = ActorFold::survey(&corpus, &[t_ew, t_ew2]);
+        assert_eq!(
+            survey.ce_ledger.len(),
+            5,
+            "the ledger keeps every CE thread"
+        );
+        let out = survey.ce_by_actor(&corpus, hf);
+
+        assert_eq!(out.get(&heavy), Some(&2), "qualifies on every gate");
+        assert!(!out.contains_key(&light), "≤50 eWhoring posts");
+        assert!(
+            !out.contains_key(&outsider),
+            "not a HackForums member, despite >50 posts and a CE thread"
+        );
+        assert!(
+            !out.contains_key(&early),
+            "CE thread predates their first eWhoring post"
+        );
+        assert_eq!(out.len(), 1);
+
+        // Table 7 applies the same gates.
+        let table7 = survey.currency_exchange(&corpus, hf);
+        assert_eq!((table7.actors, table7.threads), (1, 2));
+        assert_eq!(
+            serde_json::to_string(&table7).unwrap(),
+            serde_json::to_string(&crate::finance::analyse_currency_exchange(
+                &corpus,
+                hf,
+                &[t_ew, t_ew2]
+            ))
+            .unwrap()
         );
     }
 }

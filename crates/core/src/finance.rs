@@ -11,6 +11,12 @@
 //!   → Figures 2/3 and the §5.2 headline numbers.
 //! * **Currency Exchange.** `[H]/[W]` headings of CE threads opened by
 //!   ≥50-post eWhoring actors after they started eWhoring → Table 7.
+//!   The pipeline computes it as a finisher of the actor survey
+//!   ([`ActorFold`], in the `actors` stage), so batch, sharded and epoch
+//!   runs share one implementation; [`analyse_currency_exchange`] is the
+//!   direct batch scan the tests and examples use as a reference.
+//!
+//! [`ActorFold`]: crate::actors::ActorFold
 
 use crate::crawl::snowball_whitelist;
 use crate::nsfv::ImageMeasures;
@@ -233,23 +239,10 @@ pub fn harvest_earnings_stream(
                 && corpus.forum_of_thread(t) == world.hackforums)
     };
 
-    let n_actors = corpus.actors().len();
-    carry.ew_posts_by_actor.resize(n_actors, 0);
-    carry.first_ew_by_actor.resize(n_actors, Day(u32::MAX));
-
     let n = corpus.posts().len();
     for idx in carry.cursor..n {
         let post = corpus.post(PostId(idx as u32));
         let t = post.thread;
-        if ewset.contains(&t) {
-            // Table 7 fold: tally the post toward its author's eWhoring
-            // count (and first-sight day) before the earnings/proof
-            // filter below drops it. Counts and `min` are
-            // order-insensitive, so the fold is exact per epoch slice.
-            let i = post.author.0 as usize;
-            carry.ew_posts_by_actor[i] += 1;
-            carry.first_ew_by_actor[i] = carry.first_ew_by_actor[i].min(post.date);
-        }
         let earnings = is_earnings_thread(t);
         let proof_offer = ewset.contains(&t) && post_is_proof_offer(&post.body);
         if !(earnings || proof_offer) {
@@ -320,18 +313,14 @@ pub fn harvest_earnings_stream(
     }
     carry.cursor = n;
 
-    // Thread-cursor fold: the funnel's earnings-thread tally and the
-    // Table 7 Currency Exchange ledger, each thread visited exactly
-    // once at creation. Board, forum, and heading are fixed then, so
-    // both predicates answer the same at every later epoch — the folded
-    // tallies equal a full rescan of the current corpus.
+    // Thread-cursor fold: the funnel's earnings-thread tally, each
+    // thread visited exactly once at creation. Board, forum, and heading
+    // are fixed then, so the predicate answers the same at every later
+    // epoch — the folded tally equals a full rescan of the current corpus.
     let threads = corpus.threads();
     for th in &threads[carry.thread_cursor..] {
         if is_earnings_thread(th.id) {
             carry.earnings_threads += 1;
-        }
-        if corpus.board(th.board).category == BoardCategory::CurrencyExchange {
-            carry.ce_threads.push((th.author, th.id));
         }
     }
     carry.thread_cursor = threads.len();
@@ -486,6 +475,20 @@ pub struct CurrencyExchangeAnalysis {
     pub wanted: BTreeMap<String, usize>,
 }
 
+impl CurrencyExchangeAnalysis {
+    /// Counts one qualifying CE thread by its `[H]/[W]` heading; a
+    /// heading that does not parse counts as `Unknown` on both sides.
+    pub(crate) fn count_thread(&mut self, heading: &str) {
+        let (offered, wanted) = match parse_hw_heading(heading) {
+            Some(trade) => (trade.offered, trade.wanted),
+            None => (Currency::Unknown, Currency::Unknown),
+        };
+        self.threads += 1;
+        *self.offered.entry(offered.label().to_string()).or_insert(0) += 1;
+        *self.wanted.entry(wanted.label().to_string()).or_insert(0) += 1;
+    }
+}
+
 /// Runs the Table 7 analysis.
 ///
 /// "We only include Currency Exchange threads from actors who have write
@@ -518,70 +521,9 @@ pub fn analyse_currency_exchange(
         }
         analysis.actors += 1;
         for t in ce_threads {
-            analysis.threads += 1;
-            let (offered, wanted) = match parse_hw_heading(&corpus.thread(t).heading) {
-                Some(trade) => (trade.offered, trade.wanted),
-                None => (Currency::Unknown, Currency::Unknown),
-            };
-            *analysis
-                .offered
-                .entry(offered.label().to_string())
-                .or_insert(0) += 1;
-            *analysis
-                .wanted
-                .entry(wanted.label().to_string())
-                .or_insert(0) += 1;
+            analysis.count_thread(&corpus.thread(t).heading);
         }
     }
-    analysis
-}
-
-/// Streaming form of [`analyse_currency_exchange`]: reads the carried
-/// per-actor eWhoring tallies and the CE-thread ledger instead of
-/// rescanning every post in the extraction set.
-///
-/// Qualification (>50 eWhoring posts, HackForums membership, thread
-/// started on or after the actor's first eWhoring post) is re-checked at
-/// assembly because an actor can cross the post threshold epochs after
-/// opening a CE thread. Every output is a count keyed by a `BTreeMap`
-/// label, so assembly order cannot leak into the artifact — the result
-/// equals the batch rescan whenever the carried tallies match the
-/// corpus, which the fold in [`harvest_earnings_stream`] guarantees.
-pub fn analyse_currency_exchange_stream(
-    corpus: &Corpus,
-    hackforums: crimebb::ForumId,
-    carry: &crate::pipeline::epoch::FinanceCarry,
-) -> CurrencyExchangeAnalysis {
-    let mut analysis = CurrencyExchangeAnalysis::default();
-    let mut counted: HashSet<ActorId> = HashSet::new();
-    for &(actor, t) in &carry.ce_threads {
-        let i = actor.0 as usize;
-        if carry.ew_posts_by_actor[i] <= 50 || corpus.actor(actor).forum != hackforums {
-            continue;
-        }
-        // `threads_started_by` only looks inside the actor's own forum.
-        if corpus.forum_of_thread(t) != hackforums {
-            continue;
-        }
-        if corpus.thread(t).created < carry.first_ew_by_actor[i] {
-            continue;
-        }
-        counted.insert(actor);
-        analysis.threads += 1;
-        let (offered, wanted) = match parse_hw_heading(&corpus.thread(t).heading) {
-            Some(trade) => (trade.offered, trade.wanted),
-            None => (Currency::Unknown, Currency::Unknown),
-        };
-        *analysis
-            .offered
-            .entry(offered.label().to_string())
-            .or_insert(0) += 1;
-        *analysis
-            .wanted
-            .entry(wanted.label().to_string())
-            .or_insert(0) += 1;
-    }
-    analysis.actors = counted.len();
     analysis
 }
 

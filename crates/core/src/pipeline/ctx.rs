@@ -346,10 +346,10 @@ pub struct StageCtx<'w> {
     /// it, and put it back so the driver can hand it to the next epoch.
     /// Always `None` in batch mode — batch stages never look at it.
     pub carry: Option<super::epoch::EpochCarry>,
-    /// Sharded mode only: the merged per-shard actor partials (fold
-    /// counters, interaction edges, CE ledger) the shard coordinator
-    /// hands to the `actors` stage. Always `None` in batch mode.
-    pub shard_actors: Option<super::shard::ShardActorPartials>,
+    /// An actor survey the driver has already walked: the shard
+    /// coordinator's merged per-forum partials. The `actors` stage takes
+    /// it, or walks the corpus itself when it is `None`.
+    pub survey: Option<crate::actors::ActorFold>,
     /// Supervision counters (shards run / restarted / quarantined);
     /// all zero on an unsharded run.
     pub supervision: super::Supervision,
@@ -391,7 +391,7 @@ pub struct StageCtx<'w> {
     pub harvest: Option<EarningsHarvest>,
     /// Stage `finance`: §5.2 earnings aggregates.
     pub earnings: Option<EarningsAnalysis>,
-    /// Stage `finance`: Table 7.
+    /// Stage `actors`: Table 7.
     pub currency: Option<CurrencyExchangeAnalysis>,
     /// Stage `actors`: Table 8.
     pub cohorts: Option<Vec<CohortRow>>,
@@ -453,7 +453,7 @@ artifact_accessors! {
     harvest: EarningsHarvest,
     /// Earnings aggregates, or an error if `finance` has not run.
     earnings: EarningsAnalysis,
-    /// Currency-exchange analysis, or an error if `finance` has not run.
+    /// Currency-exchange analysis, or an error if `actors` has not run.
     currency: CurrencyExchangeAnalysis,
     /// Cohort table, or an error if `actors` has not run.
     cohorts: Vec<CohortRow>,
@@ -483,7 +483,7 @@ impl<'w> StageCtx<'w> {
             items: 0,
             health: Vec::new(),
             carry: options.stream.map(|_| super::epoch::EpochCarry::default()),
-            shard_actors: None,
+            survey: None,
             supervision: super::Supervision::default(),
             extraction: None,
             all_threads: None,

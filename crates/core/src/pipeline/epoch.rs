@@ -6,23 +6,27 @@
 //! stage keeps a small, serialisable **carry** here and folds only the
 //! epoch's delta into it —
 //!
-//! * `top_classifier`: the bootstrap-frozen model (trained once at the
-//!   first boundary), first-sight decisions per thread, and an
-//!   incrementally grown vocabulary / document-frequency index
-//!   ([`StreamTextIndex`] — vocab union + new-doc rows, never a rebuild);
+//! * `top_classifier`: the bootstrap-frozen model (trained once, at the
+//!   first boundary whose first-sight threads yield an annotation
+//!   sample), first-sight decisions per thread, and an incrementally
+//!   grown vocabulary / document-frequency index ([`StreamTextIndex`] —
+//!   vocab union + new-doc rows, never a rebuild);
 //! * `measure_images`: a memo of every `(spec, transform)` pair already
 //!   measured (measures are pure, so memoised values are exact);
 //! * `nsfv`: the validation-set evaluation (pure in the seed);
 //! * `finance`: a fold cursor over the global post timeline plus the
-//!   funnel counters, whitelist, URL dedup set, proof records, running
-//!   §5.2 earnings aggregates, and the Table 7 per-actor tallies and
-//!   CE-thread ledger (folded via a thread cursor);
+//!   funnel counters, whitelist, URL dedup set, proof records, and
+//!   running §5.2 earnings aggregates;
 //! * `provenance`: a memo of every reverse-search outcome keyed
 //!   `(robust hash, post day)` — the reverse index and the Wayback
 //!   archive are static services, so outcomes are pure in the key;
-//! * `actors`: the reply/quote graph grown edge-by-edge, the
-//!   warm-started eigenvector-centrality vector, and the per-actor
-//!   metric counters behind Table 8 / Figure 4.
+//! * `actors`: the actor survey ([`ActorFold`]: per-actor counters,
+//!   reply/quote graph, CE-thread ledger behind Tables 7/8, Figure 4
+//!   and the key-actor ranking) and the warm-started
+//!   eigenvector-centrality vector. This is the streaming schedule of
+//!   the one fold that batch runs walk in a single pass and shard runs
+//!   walk per forum span: `ActorsCarry::advance` steps it once per
+//!   epoch slice.
 //!
 //! The correctness contract is **epoch equivalence**: running the same
 //! stream code path with a fresh ([`EpochCarry::default`]) carry on the
@@ -45,14 +49,14 @@ use crate::topcls::{BootstrapModel, StreamIndexStats};
 use crimebb::ThreadId;
 use imagesim::RobustHash;
 use serde::{Deserialize, Serialize};
-use socgraph::DiGraph;
+use socgraph::eigenvector_centrality_from;
 use std::collections::HashSet;
 use std::path::Path;
 use synthrand::Day;
 use textkit::dtm::{DocTermMatrix, Vocabulary};
 use textkit::Url;
 use websim::StoredImage;
-use worldgen::{Feed, World};
+use worldgen::{epoch_bound, Feed, World};
 
 /// Everything the stream stages keep between epoch advances. `Default`
 /// is the fresh carry: running with it *is* the full recompute.
@@ -78,8 +82,8 @@ pub struct EpochCarry {
 pub struct TopclsCarry {
     /// Last epoch whose first-sight decisions are folded in.
     pub epoch: u32,
-    /// The classifier bootstrapped at the first epoch boundary; `None`
-    /// until epoch 1 has run.
+    /// The classifier bootstrapped at the first boundary whose
+    /// first-sight threads yield an annotation sample; `None` until then.
     pub model: Option<BootstrapModel>,
     /// First-sight decisions `(thread, ml, heuristic)` in decision
     /// order: threads grouped by the epoch they appeared in, each
@@ -158,20 +162,12 @@ pub struct FinanceCarry {
     /// Posts `0..cursor` are folded in.
     pub cursor: usize,
     /// Threads `0..thread_cursor` are folded into the earnings-thread
-    /// tally and the CE-thread ledger below.
+    /// tally.
     pub thread_cursor: usize,
     /// Earnings-query threads seen so far (the funnel header): board,
     /// forum, and heading are fixed at creation, so counting each
     /// thread once equals a full rescan at any epoch.
     pub earnings_threads: usize,
-    /// Per-actor posts in eWhoring threads (Table 7 qualification),
-    /// indexed by actor id.
-    pub ew_posts_by_actor: Vec<u32>,
-    /// Per-actor first eWhoring post day (`Day(u32::MAX)` sentinel).
-    pub first_ew_by_actor: Vec<Day>,
-    /// Every Currency Exchange thread at creation, `(author, thread)`
-    /// in timeline order; qualification is re-checked at assembly.
-    pub ce_threads: Vec<(crimebb::ActorId, ThreadId)>,
     /// Running §5.2 earnings aggregates over `proofs[..agg_cursor]`.
     /// Folded only when the run's corruption plan is inert — an enabled
     /// plan filters a per-run copy of the proof list, so the stage
@@ -216,31 +212,71 @@ pub struct ProvenanceCarry {
     pub memo: Vec<(RobustHash, Day, QueryOutcome)>,
 }
 
-/// Carry of the `actors` stage: the §6.1 interaction graph grown
-/// edge-by-edge from the post timeline, plus the eigenvector-centrality
-/// vector warm-started across epochs (fixed iteration budget and
-/// tolerance, so the warm chain replays bit-identically from scratch).
+/// Carry of the `actors` stage: the actor survey ([`ActorFold`]) and
+/// the eigenvector-centrality vector warm-started across epochs (fixed
+/// iteration budget and tolerance, so the warm chain replays
+/// bit-identically from a fresh carry).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ActorsCarry {
-    /// Last epoch folded into the graph and centrality chain.
+    /// Last epoch whose slice is folded into the survey.
     pub epoch: u32,
-    /// Posts `0..cursor` are folded into the graph and the metric
-    /// counters (one shared cursor: both folds walk the same slice).
-    pub cursor: usize,
-    /// The reply/quote graph (all actors are nodes from epoch 0).
-    pub graph: DiGraph,
+    /// The survey over every post and thread up to `epoch`.
+    pub fold: ActorFold,
     /// Centrality vector after the last epoch's warm-started iteration.
     pub influence: Vec<f64>,
-    /// Per-actor metric counters behind Table 8 / Figure 4: integer
-    /// counts and day spans folded per epoch slice, assembled into the
-    /// same rows `actor_metrics` computes over the full corpus.
-    pub fold: ActorFold,
-    /// Threads `0..ce_cursor` are folded into the CE-thread ledger.
-    pub ce_cursor: usize,
-    /// Every Currency Exchange thread at creation, `(author, thread)`;
-    /// the >50-post qualification is re-checked at assembly because an
-    /// actor can cross the threshold epochs later.
-    pub ce_threads: Vec<(crimebb::ActorId, ThreadId)>,
+}
+
+impl ActorsCarry {
+    /// The streaming schedule: steps the survey once per epoch slice
+    /// from `epoch + 1` through `spec.upto`, warm-starting the
+    /// centrality iteration on the graph as it stands after each slice.
+    ///
+    /// Streamed worlds have chronological ids and every event lies on or
+    /// before the dataset end, so a slice is the range between two
+    /// calendar-bound partition points of the post and thread lists. A
+    /// fresh carry walks the identical slices, which keeps advance ≡
+    /// recompute.
+    pub(crate) fn advance(
+        &mut self,
+        world: &World,
+        ewhoring_threads: &[ThreadId],
+        spec: StreamSpec,
+        workers: usize,
+    ) {
+        let corpus = &world.corpus;
+        let n_actors = corpus.actors().len();
+        if self.influence.is_empty() {
+            self.influence = vec![1.0 / (n_actors as f64).sqrt(); n_actors];
+        }
+        self.fold.ensure(n_actors);
+        let ewset: HashSet<ThreadId> = ewhoring_threads.iter().copied().collect();
+        let (posts, threads) = (corpus.posts(), corpus.threads());
+        // Epoch 1 has no lower bound: pre-window events land there.
+        let end_of = |j: u32| {
+            if j == 0 {
+                return (0, 0);
+            }
+            let bound = epoch_bound(&world.config, spec.epochs, j);
+            (
+                posts.partition_point(|p| p.date <= bound),
+                threads.partition_point(|t| t.created <= bound),
+            )
+        };
+        let (mut post_start, mut thread_start) = end_of(self.epoch);
+        for j in self.epoch + 1..=spec.upto {
+            let (post_end, thread_end) = end_of(j);
+            self.fold.walk(
+                corpus,
+                &ewset,
+                &posts[post_start..post_end],
+                &threads[thread_start..thread_end],
+            );
+            self.influence =
+                eigenvector_centrality_from(&self.fold.graph, &self.influence, 200, workers);
+            (post_start, thread_start) = (post_end, thread_end);
+        }
+        self.epoch = spec.upto;
+    }
 }
 
 /// Materializes the world a streamed spec runs over: the time-ordered
@@ -428,6 +464,7 @@ impl EpochEngine {
 mod tests {
     use super::*;
     use crate::pipeline::journal::run_key;
+    use crimebb::{BoardCategory, CorpusBuilder};
 
     #[test]
     fn carry_round_trips_through_serde() {
@@ -446,12 +483,6 @@ mod tests {
             .insert(Url::new("i.imgur.com", "/x"));
         carry.finance.thread_cursor = 17;
         carry.finance.earnings_threads = 4;
-        carry.finance.ew_posts_by_actor = vec![0, 55, 3];
-        carry.finance.first_ew_by_actor = vec![Day(u32::MAX), Day(120), Day(360)];
-        carry
-            .finance
-            .ce_threads
-            .push((crimebb::ActorId(1), ThreadId(9)));
         carry
             .finance
             .agg
@@ -459,21 +490,22 @@ mod tests {
             .push((crimebb::ActorId(1), 12.5, 2));
         carry.finance.agg.monthly.push((24_193, 3, 1));
         carry.finance.agg_cursor = 2;
+        // A three-actor survey with one reply edge and one CE thread.
+        let mut b = CorpusBuilder::new();
+        let forum = b.add_forum("Hackforums");
+        let ew = b.add_board(forum, "eWhoring", BoardCategory::EWhoring);
+        let ce = b.add_board(forum, "Currency Exchange", BoardCategory::CurrencyExchange);
+        let actors: Vec<_> = ["ann", "bob", "cyn"]
+            .iter()
+            .map(|name| b.add_actor(forum, *name, Day(100)))
+            .collect();
+        let t = b.add_thread(ew, actors[0], "pack", Day(200));
+        b.add_post(t, actors[0], Day(200), "op", None);
+        b.add_post(t, actors[1], Day(201), "re", None);
+        b.add_thread(ce, actors[2], "[H] AGC [W] BTC", Day(300));
         carry.actors.epoch = 2;
-        carry.actors.cursor = 41;
-        carry.actors.graph = DiGraph::with_nodes(3);
-        carry.actors.graph.add_edge(0, 1, 2.0);
+        carry.actors.fold = ActorFold::survey(&b.build(), &[t]);
         carry.actors.influence = vec![0.25, 0.5, 0.25];
-        carry.actors.fold.ensure(3);
-        carry
-            .actors
-            .fold
-            .note_post(crimebb::ActorId(1), Day(200), true);
-        carry.actors.ce_cursor = 17;
-        carry
-            .actors
-            .ce_threads
-            .push((crimebb::ActorId(2), ThreadId(5)));
 
         let value = serde_json::to_value(&carry).unwrap();
         let back: EpochCarry = serde_json::from_value(value).unwrap();
@@ -492,22 +524,21 @@ mod tests {
             .contains(&Url::new("i.imgur.com", "/x")));
         assert_eq!(back.finance.thread_cursor, 17);
         assert_eq!(back.finance.earnings_threads, 4);
-        assert_eq!(back.finance.ew_posts_by_actor, vec![0, 55, 3]);
-        assert_eq!(
-            back.finance.first_ew_by_actor,
-            vec![Day(u32::MAX), Day(120), Day(360)]
-        );
-        assert_eq!(back.finance.ce_threads, carry.finance.ce_threads);
         assert_eq!(back.finance.agg.per_actor, carry.finance.agg.per_actor);
         assert_eq!(back.finance.agg.monthly, carry.finance.agg.monthly);
         assert_eq!(back.finance.agg_cursor, 2);
-        assert_eq!(back.actors.graph.edge_count(), 1);
+        assert_eq!(back.actors.epoch, 2);
         assert_eq!(back.actors.influence, carry.actors.influence);
-        assert_eq!(back.actors.fold.ew_posts, carry.actors.fold.ew_posts);
-        assert_eq!(back.actors.fold.first_ew, carry.actors.fold.first_ew);
-        assert_eq!(back.actors.fold.last_post, carry.actors.fold.last_post);
-        assert_eq!(back.actors.ce_cursor, 17);
-        assert_eq!(back.actors.ce_threads, carry.actors.ce_threads);
+        let (fold, folded) = (&back.actors.fold, &carry.actors.fold);
+        assert_eq!(fold.ew_posts, vec![1, 1, 0]);
+        assert_eq!(fold.total_posts, folded.total_posts);
+        assert_eq!(fold.first_ew, folded.first_ew);
+        assert_eq!(fold.last_ew, folded.last_ew);
+        assert_eq!(fold.first_post, folded.first_post);
+        assert_eq!(fold.last_post, folded.last_post);
+        assert_eq!(fold.graph.edge_count(), 1);
+        assert_eq!(fold.graph.out_edges(1), &[(0, 1.0)]);
+        assert_eq!(fold.ce_ledger, vec![(crimebb::ActorId(2), ThreadId(1))]);
         assert!(back.nsfv.is_none());
     }
 

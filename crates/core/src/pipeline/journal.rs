@@ -40,7 +40,7 @@ use worldgen::WorldConfig;
 
 /// Journal format version; bumped on any incompatible layout change so
 /// old run directories are recomputed instead of misread.
-const FORMAT: u32 = 1;
+const FORMAT: u32 = 2;
 
 /// FNV-1a 64-bit over `bytes` — stable, dependency-free content hash
 /// for run keys and record checksums.
@@ -299,8 +299,15 @@ macro_rules! stage_slots {
             "measure_images" => $on_stage!(measures),
             "nsfv" => $on_stage!(nsfv_validation, previews_nsfv, funnel),
             "provenance" => $on_stage!(provenance),
-            "finance" => $on_stage!(harvest, earnings, currency),
-            "actors" => $on_stage!(cohorts, fig4_points, key_actors, group_profiles, interests),
+            "finance" => $on_stage!(harvest, earnings),
+            "actors" => $on_stage!(
+                currency,
+                cohorts,
+                fig4_points,
+                key_actors,
+                group_profiles,
+                interests
+            ),
             other => {
                 return Err(corrupt(
                     other,
@@ -368,6 +375,8 @@ pub fn restore_stage(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::pipeline::{Pipeline, TimingSource};
+    use worldgen::World;
 
     fn options(seed: u64) -> PipelineOptions {
         PipelineOptions {
@@ -474,6 +483,36 @@ mod tests {
             LoadOutcome::Rejected(reason) => assert!(reason.contains("stale"), "{reason}"),
             other => panic!("expected Rejected, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record written under an older format is rejected on load and
+    /// the stage is recomputed (and re-journaled), never restored.
+    #[test]
+    fn older_format_records_are_recomputed_not_restored() {
+        let dir = tmp_dir("format");
+        let world = World::generate(WorldConfig::test_scale(8));
+        let pipe = Pipeline::new(options(8));
+        pipe.run_prefix_resumable(&world, 1, &dir).unwrap();
+        let journal = Journal::open(&dir, &world.config, &options(8)).unwrap();
+        let path = journal.dir().join("00-extract.json");
+        let current = fs::read_to_string(&path).unwrap();
+        let old = current.replacen(&format!("\"format\":{FORMAT}"), "\"format\":1", 1);
+        assert_ne!(old, current, "the envelope names its format");
+        fs::write(&path, old).unwrap();
+        match journal.load(0, "extract") {
+            LoadOutcome::Rejected(reason) => assert!(reason.contains("format 1"), "{reason}"),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+
+        let ctx = pipe.run_prefix_resumable(&world, 1, &dir).unwrap();
+        assert_eq!(ctx.timings()[0].stage, "extract");
+        assert_eq!(
+            ctx.timings()[0].source,
+            TimingSource::Computed,
+            "a FORMAT-1 record must be recomputed"
+        );
+        assert_eq!(fs::read_to_string(&path).unwrap(), current);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -603,7 +603,7 @@ mod tests {
         assert!(report.provenance.packs.total > 0);
         assert!(report.provenance.previews.total > 0);
 
-        // Finance produced proofs and Table 7 data.
+        // Finance produced proofs; the actor survey produced Table 7.
         assert!(!report.harvest.proofs.is_empty());
         assert!(report.earnings.total_usd > 0.0);
         assert!(report.currency.threads > 0);

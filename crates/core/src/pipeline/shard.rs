@@ -18,15 +18,17 @@
 //!   stages (`extract` and the TOP classifier's training tokenisation)
 //!   fan out per-forum across supervised shards; a merge coordinator
 //!   folds the partial artifacts deterministically — extraction rows
-//!   concatenate in forum order, the DTM vocabulary is fit over the
-//!   shard-ordered document union, per-actor counters merge via
-//!   [`ActorFold::merge`], and the cross-forum interaction graph is
-//!   stitched by replaying per-shard edge lists in forum order. The
-//!   remaining stages run on the coordinator through the ordinary
-//!   driver (`crawl`'s per-host circuit breakers couple state across
-//!   forums, so sharding them would change byte output). The merged
-//!   report is **byte-identical to the unsharded run at every shard
-//!   count** — `tests/determinism.rs` enforces shards {1,2,5} ×
+//!   concatenate in forum order, and the DTM vocabulary is fit over the
+//!   shard-ordered document union. The actor survey is the one
+//!   [`ActorFold`] every run mode uses, on its sharded schedule: each
+//!   shard walks its forum span and the coordinator joins the partials
+//!   with [`ActorFold::merge`]; the survey does not depend on walk or
+//!   merge order, so the `actors` stage finishes the same fold a batch
+//!   pass builds. The remaining stages run on the coordinator through
+//!   the ordinary driver (`crawl`'s per-host circuit breakers couple
+//!   state across forums, so sharding them would change byte output).
+//!   The merged report is **byte-identical to the unsharded run at every
+//!   shard count** — `tests/determinism.rs` enforces shards {1,2,5} ×
 //!   workers {1,2,7}.
 //! * Degradation — a quarantined shard's forums simply contribute
 //!   nothing: its extraction rows stay empty, a `ShardFailure` entry
@@ -37,6 +39,7 @@
 
 use super::corruption::RecordErrorKind;
 use super::ctx::StageCtx;
+use super::stages::extract::quarantine_corrupt_threads;
 use super::stages::topcls::forum_rows;
 use super::{
     Pipeline, PipelineOptions, PipelineReport, StageError, StageHealth, StageStatus, StageTiming,
@@ -47,7 +50,7 @@ use crate::extract::{extract_ewhoring_threads_in, EwhoringSet};
 use crate::features::{thread_tokens, FeatureExtractor};
 use crate::pipeline::corruption::CorruptionPlan;
 use crate::topcls::classify_tops_with_fit;
-use crimebb::{ActorId, BoardCategory, ThreadId};
+use crimebb::{Thread, ThreadId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::ops::Range;
@@ -277,21 +280,6 @@ fn render_panic(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The per-shard partial feeding the actors stage after the merge:
-/// fold counters, interaction-graph edge list (replayed in forum
-/// order), and the Currency Exchange thread ledger.
-#[derive(Debug, Default)]
-pub struct ShardActorPartials {
-    /// Per-actor counters merged across shards.
-    pub fold: ActorFold,
-    /// `(source, target)` interaction edges, concatenated in shard
-    /// (= forum) order — the exact `add_edge` sequence of the batch
-    /// graph build.
-    pub edges: Vec<(u32, u32)>,
-    /// `(author, thread)` Currency Exchange ledger rows.
-    pub ce_threads: Vec<(ActorId, ThreadId)>,
-}
-
 /// Everything one shard's survey pass produces.
 struct ShardPartial {
     /// The shard's forums' extraction rows (post corruption filter).
@@ -300,95 +288,42 @@ struct ShardPartial {
     before: usize,
     /// Quarantined records, in the batch stage's per-forum order.
     quarantined: Vec<(String, RecordErrorKind)>,
-    /// Per-actor counters over the shard's posts.
-    fold: ActorFold,
-    /// Interaction edges over the shard's eWhoring threads.
-    edges: Vec<(u32, u32)>,
-    /// CE-thread ledger rows for the shard's forums.
-    ce_threads: Vec<(ActorId, ThreadId)>,
+    /// The actor survey over the shard's posts and threads.
+    survey: ActorFold,
 }
 
-/// One shard's survey pass: extraction (with the batch corruption
-/// filter replicated per-forum), the actor fold, the interaction-edge
-/// list, and the CE ledger — everything that is a pure function of the
-/// shard's forum span. Extraction is per-forum independent (a thread's
-/// dedup entry can only come from its own forum), corruption draws are
-/// pure per-thread, and every post belongs to exactly one forum, so
-/// concatenating these partials in forum order reproduces the batch
-/// artifacts exactly.
+/// One shard's survey pass: extraction with the batch corruption filter,
+/// then the actor survey walked over the shard's forum span. Extraction
+/// is per-forum independent (a thread's dedup entry can only come from
+/// its own forum), corruption draws are pure per-thread, and every post
+/// and thread belongs to exactly one forum, so concatenating the rows in
+/// forum order and merging the surveys reproduces the batch artifacts
+/// exactly.
 fn shard_survey(world: &World, plan: &CorruptionPlan, span: Range<usize>) -> ShardPartial {
     let corpus = &world.corpus;
     let mut set = extract_ewhoring_threads_in(corpus, span.clone());
     let before = set.len();
-    let mut quarantined = Vec::new();
-    if plan.is_enabled() {
-        for (_, threads) in &mut set.per_forum {
-            threads.retain(|&t| {
-                if let Some(kind) = plan.thread_row(t) {
-                    quarantined.push((format!("thread/{}", t.0), kind));
-                    return false;
-                }
-                if let Some(bytes) = plan.mangled_heading(t, &corpus.thread(t).heading) {
-                    // The plan damages bytes; only an actual UTF-8
-                    // validation failure quarantines the record.
-                    if std::str::from_utf8(&bytes).is_err() {
-                        quarantined.push((
-                            format!("thread/{}", t.0),
-                            RecordErrorKind::InvalidUtf8Heading,
-                        ));
-                        return false;
-                    }
-                }
-                true
-            });
-        }
-    }
+    let quarantined = quarantine_corrupt_threads(&mut set, corpus, plan);
 
     let ewset: HashSet<ThreadId> = set.all_threads().into_iter().collect();
-    let mut fold = ActorFold::default();
-    fold.ensure(corpus.actors().len());
-    let mut ce_threads = Vec::new();
-    for thread in corpus.threads() {
-        if !span.contains(&corpus.board(thread.board).forum.index()) {
-            continue;
-        }
-        let in_ew = ewset.contains(&thread.id);
-        for &p in corpus.posts_in_thread(thread.id) {
-            let post = corpus.post(p);
-            fold.note_post(post.author, post.date, in_ew);
-        }
-        if corpus.board(thread.board).category == BoardCategory::CurrencyExchange {
-            ce_threads.push((thread.author, thread.id));
-        }
-    }
-
-    // Interaction edges over the shard's eWhoring threads, in the
-    // shard's extraction order — the batch build's order restricted to
-    // this forum span.
-    let mut edges = Vec::new();
-    for (_, threads) in &set.per_forum {
-        for &t in threads {
-            let thread_author = corpus.thread(t).author;
-            for &p in corpus.posts_in_thread(t).iter().skip(1) {
-                let post = corpus.post(p);
-                let target = match post.quotes {
-                    Some(q) => corpus.post(q).author,
-                    None => thread_author,
-                };
-                if post.author != target {
-                    edges.push((post.author.0, target.0));
-                }
-            }
-        }
-    }
+    let threads: Vec<&Thread> = corpus
+        .threads()
+        .iter()
+        .filter(|t| span.contains(&corpus.forum_of_thread(t.id).index()))
+        .collect();
+    let posts = threads
+        .iter()
+        .flat_map(|t| corpus.posts_in_thread(t.id))
+        .map(|&p| corpus.post(p));
+    let mut survey = ActorFold::default();
+    survey.ensure(corpus.actors().len());
+    survey.walk(corpus, &ewset, posts, threads.iter().copied());
 
     ShardPartial {
         set,
         before,
         quarantined,
-        fold,
-        edges,
-        ce_threads,
+        survey,
     }
 }
 
@@ -442,10 +377,8 @@ pub(super) fn run_sharded(
     // quarantined shard's forums stay empty (its partition degrades
     // out of the report instead of failing the run).
     let mut per_forum: Vec<_> = corpus.forums().iter().map(|f| (f.id, Vec::new())).collect();
-    let mut fold = ActorFold::default();
-    fold.ensure(corpus.actors().len());
-    let mut edges = Vec::new();
-    let mut ce_threads = Vec::new();
+    let mut survey = ActorFold::default();
+    survey.ensure(corpus.actors().len());
     let mut before_total = 0;
     let mut record_quarantines = 0;
     let mut lost_shards = 0;
@@ -460,9 +393,7 @@ pub(super) fn run_sharded(
                 for (record, kind) in p.quarantined {
                     ctx.ledger.record("extract", record, kind);
                 }
-                fold.merge(&p.fold);
-                edges.extend(p.edges);
-                ce_threads.extend(p.ce_threads);
+                survey.merge(&p.survey);
             }
             RoundOutcome::Quarantined { attempts, error } => {
                 lost_shards += 1;
@@ -497,11 +428,7 @@ pub(super) fn run_sharded(
     });
     ctx.all_threads = Some(set.all_threads());
     ctx.extraction = Some(set);
-    ctx.shard_actors = Some(ShardActorPartials {
-        fold,
-        edges,
-        ce_threads,
-    });
+    ctx.survey = Some(survey);
 
     // ---- TOP classifier (coordinator, with a supervised tokenise
     // round inside the feature fit) ----
@@ -590,8 +517,8 @@ pub(super) fn run_sharded(
     // ---- coordinator-side tail ----
     // Crawl's per-host circuit breakers and request budgets couple
     // state across forums, so the tail stages run unsharded through
-    // the ordinary driver; `actors` consumes the merged shard partials
-    // instead of rescanning the corpus.
+    // the ordinary driver; `actors` finishes the merged survey instead
+    // of walking the corpus again.
     for stage in Pipeline::stages().into_iter().skip(2) {
         Pipeline::step(stage.as_ref(), &mut ctx)?;
     }

@@ -1,19 +1,24 @@
-//! Stage `actors`: cohorts, interaction graph, and key actors (paper §6).
+//! Stage `actors`: Table 7, cohorts, interaction graph, and key actors
+//! (paper §5.1 and §6).
+//!
+//! Everything here is a finisher of one actor survey ([`ActorFold`]).
+//! The run mode only chooses what the survey walks: an epoch run steps
+//! its carried survey over each new slice (and keeps the warm-started
+//! centrality chain), the shard driver hands in its merged per-forum
+//! partials, and any other run walks the whole corpus once.
 
 use crate::actors::{
-    actor_metrics, cohort_table, group_profiles, interaction_graph, interest_evolution, popularity,
-    select_key_actors, select_key_actors_with_centrality, ActorFold, KeyActorInputs,
+    cohort_table, group_profiles, interest_evolution, popularity, select_key_actors,
+    select_key_actors_with_centrality, ActorFold, KeyActorInputs,
 };
 use crate::pipeline::corruption::RecordErrorKind;
 use crate::pipeline::ctx::require;
 use crate::pipeline::{Stage, StageCtx, StageError};
-use crimebb::{ActorId, BoardCategory, Corpus, ForumId, ThreadId};
-use socgraph::{eigenvector_centrality_from, DiGraph};
-use std::collections::{HashMap, HashSet};
-use worldgen::epoch_bound;
+use crimebb::ActorId;
+use std::collections::HashMap;
 
-/// Produces `cohorts`, `fig4_points`, `key_actors`, `group_profiles`,
-/// and `interests`.
+/// Produces `currency`, `cohorts`, `fig4_points`, `key_actors`,
+/// `group_profiles`, and `interests`.
 pub struct ActorsStage;
 
 impl Stage for ActorsStage {
@@ -27,114 +32,25 @@ impl Stage for ActorsStage {
         let crawl = require(&ctx.crawl, "crawl")?;
         let harvest = require(&ctx.harvest, "harvest")?;
 
-        // Streaming fork: grow the carried interaction graph and the
-        // per-actor metric counters by the new epochs' posts only,
-        // warm-start the centrality iteration from the previous epoch's
-        // vector, and assemble Table 8 / Figure 4 / Table 7 inputs from
-        // the carry instead of rescanning the corpus. The warm chain
-        // replays bit-identically from a fresh carry (same fold order,
-        // same fixed iteration budget; the metric counters are integer
-        // counts and day spans with no float order to preserve), which
-        // keeps advance ≡ recompute.
-        let stream = if let Some(spec) = ctx.options.stream {
-            let carry = &mut ctx
-                .carry
-                .as_mut()
-                .expect("stream options imply a carry")
-                .actors;
-            let corpus = &world.corpus;
-            let n_actors = corpus.actors().len();
-            if carry.influence.is_empty() {
-                // Fresh carry: every actor exists from the base world on,
-                // so the node set is fixed across all epochs.
-                carry.graph = DiGraph::with_nodes(n_actors);
-                carry.influence = vec![1.0 / (n_actors as f64).sqrt(); n_actors];
+        let walked;
+        let (survey, centrality) = match ctx.carry.as_mut() {
+            Some(carry) => {
+                let spec = ctx.options.stream.expect("a carry implies stream options");
+                let carry = &mut carry.actors;
+                carry.advance(world, all_threads, spec, ctx.options.workers);
+                (&carry.fold, Some(carry.influence.as_slice()))
             }
-            carry.fold.ensure(n_actors);
-            let ewset: HashSet<ThreadId> = all_threads.iter().copied().collect();
-            let posts = corpus.posts();
-            for j in carry.epoch + 1..=spec.upto {
-                // Loop-invariant per epoch: one `epoch_bound` call, one
-                // `partition_point`, then a walk of the slice only.
-                let bound = epoch_bound(&world.config, spec.epochs, j);
-                let boundary = posts.partition_point(|p| p.date <= bound);
-                for post in &posts[carry.cursor..boundary] {
-                    let t = post.thread;
-                    let in_ew = ewset.contains(&t);
-                    carry.fold.note_post(post.author, post.date, in_ew);
-                    if !in_ew {
-                        continue;
-                    }
-                    // The opening post starts the thread, it replies to
-                    // nothing — same skip as the batch build.
-                    if corpus.posts_in_thread(t).first() == Some(&post.id) {
-                        continue;
-                    }
-                    let target = match post.quotes {
-                        Some(q) => corpus.post(q).author,
-                        None => corpus.thread(t).author,
-                    };
-                    if post.author != target {
-                        carry.graph.add_edge(post.author.0, target.0, 1.0);
-                    }
-                }
-                carry.cursor = boundary;
-                carry.influence = eigenvector_centrality_from(
-                    &carry.graph,
-                    &carry.influence,
-                    200,
-                    ctx.options.workers,
-                );
+            None => {
+                walked = ctx
+                    .survey
+                    .take()
+                    .unwrap_or_else(|| ActorFold::survey(&world.corpus, all_threads));
+                (&walked, None)
             }
-            carry.epoch = spec.upto;
-            // CE-thread ledger grown at creation (board and author are
-            // fixed then); the >50-post qualification is re-checked at
-            // assembly because it can be crossed epochs later.
-            let threads = corpus.threads();
-            for th in &threads[carry.ce_cursor..] {
-                if corpus.board(th.board).category == BoardCategory::CurrencyExchange {
-                    carry.ce_threads.push((th.author, th.id));
-                }
-            }
-            carry.ce_cursor = threads.len();
-            let metrics = carry.fold.metrics();
-            let ce = ce_threads_from_fold(
-                &world.corpus,
-                world.hackforums,
-                &carry.fold,
-                &carry.ce_threads,
-            );
-            Some((metrics, carry.graph.clone(), carry.influence.clone(), ce))
-        } else {
-            None
         };
-        let (metrics, graph, centrality, ce_by_actor) = if let Some((m, g, c, ce)) = stream {
-            (m, g, Some(c), ce)
-        } else if let Some(partials) = ctx.shard_actors.take() {
-            // Sharded fork: the merge coordinator already folded every
-            // shard's per-actor counters, edge list, and CE ledger.
-            // Replaying the concatenated edges in shard (= forum) order
-            // reproduces the batch graph's `add_edge` sequence exactly,
-            // so the centrality iteration is byte-identical too.
-            let mut graph = DiGraph::with_nodes(world.corpus.actors().len());
-            for &(a, b) in &partials.edges {
-                graph.add_edge(a, b, 1.0);
-            }
-            let ce = ce_threads_from_fold(
-                &world.corpus,
-                world.hackforums,
-                &partials.fold,
-                &partials.ce_threads,
-            );
-            (partials.fold.metrics(), graph, None, ce)
-        } else {
-            (
-                actor_metrics(&world.corpus, all_threads),
-                interaction_graph(&world.corpus, all_threads),
-                None,
-                ce_threads_by_actor(&world.corpus, world.hackforums, all_threads),
-            )
-        };
+        let metrics = survey.metrics();
+        let currency = survey.currency_exchange(&world.corpus, world.hackforums);
+        let ce_by_actor = survey.ce_by_actor(&world.corpus, world.hackforums);
         let cohorts = cohort_table(&metrics);
         // Defensive finiteness gate on the Figure 4 scatter: a metric
         // whose eWhoring percentage comes back non-finite (division on
@@ -172,10 +88,10 @@ impl Stage for ActorsStage {
             packs_by_actor: &packs_by_actor,
             earnings_by_actor: &earnings_by_actor,
             popularity: &pop,
-            graph: &graph,
+            graph: &survey.graph,
             ce_by_actor: &ce_by_actor,
         };
-        let key_actors = match &centrality {
+        let key_actors = match centrality {
             Some(c) => select_key_actors_with_centrality(&inputs, c, ctx.options.k_key_actors),
             None => select_key_actors(&inputs, ctx.options.k_key_actors, ctx.options.workers),
         };
@@ -183,161 +99,12 @@ impl Stage for ActorsStage {
         let interests = interest_evolution(&world.corpus, &metrics, &key_actors.all);
 
         ctx.note_items(metrics.len());
+        ctx.currency = Some(currency);
         ctx.cohorts = Some(cohorts);
         ctx.fig4_points = Some(fig4_points);
         ctx.key_actors = Some(key_actors);
         ctx.group_profiles = Some(profiles);
         ctx.interests = Some(interests);
         Ok(())
-    }
-}
-
-/// Post-eWhoring Currency Exchange thread counts per qualifying actor:
-/// HackForums members with more than 50 posts in eWhoring threads, counting
-/// only Currency Exchange threads they started after their first eWhoring
-/// post (paper §5.1).
-pub(crate) fn ce_threads_by_actor(
-    corpus: &Corpus,
-    hackforums: ForumId,
-    ewhoring_threads: &[ThreadId],
-) -> HashMap<ActorId, usize> {
-    let counts = corpus.posts_per_actor_in(ewhoring_threads);
-    let thread_set: std::collections::HashSet<ThreadId> =
-        ewhoring_threads.iter().copied().collect();
-    let mut out = HashMap::new();
-    for (&actor, &c) in &counts {
-        if c <= 50 || corpus.actor(actor).forum != hackforums {
-            continue;
-        }
-        let first = corpus.actor_span_in_set(actor, &thread_set).map(|(f, _)| f);
-        let n = corpus
-            .threads_started_by(actor, BoardCategory::CurrencyExchange, first)
-            .len();
-        if n > 0 {
-            out.insert(actor, n);
-        }
-    }
-    out
-}
-
-/// Streaming form of [`ce_threads_by_actor`]: reads the carried
-/// per-actor eWhoring tallies and CE-thread ledger instead of rescanning
-/// every post in the extraction set. Same gates, re-checked at assembly;
-/// the output map's contents (never its iteration order) feed the
-/// key-actor ranking, so equality of contents is equality of artifact.
-pub(crate) fn ce_threads_from_fold(
-    corpus: &Corpus,
-    hackforums: ForumId,
-    fold: &ActorFold,
-    ce_threads: &[(ActorId, ThreadId)],
-) -> HashMap<ActorId, usize> {
-    let mut out = HashMap::new();
-    for &(actor, t) in ce_threads {
-        let i = actor.0 as usize;
-        if fold.ew_posts[i] <= 50 || corpus.actor(actor).forum != hackforums {
-            continue;
-        }
-        // `threads_started_by` only looks inside the actor's own forum.
-        if corpus.forum_of_thread(t) != hackforums {
-            continue;
-        }
-        if corpus.thread(t).created < fold.first_ew[i] {
-            continue;
-        }
-        *out.entry(actor).or_insert(0) += 1;
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crimebb::CorpusBuilder;
-    use synthrand::Day;
-
-    /// Hand-built corpus exercising every gate of `ce_threads_by_actor`:
-    /// the >50-posts threshold, the HackForums-membership requirement,
-    /// and the started-after-first-eWhoring-post cutoff.
-    #[test]
-    fn ce_threads_by_actor_applies_every_gate() {
-        let mut b = CorpusBuilder::new();
-        let hf = b.add_forum("Hackforums");
-        let other = b.add_forum("Elsewhere");
-        let ew = b.add_board(hf, "eWhoring", BoardCategory::EWhoring);
-        let ce = b.add_board(hf, "Currency Exchange", BoardCategory::CurrencyExchange);
-        let ew_other = b.add_board(other, "ew", BoardCategory::EWhoring);
-        let ce_other = b.add_board(other, "ce", BoardCategory::CurrencyExchange);
-
-        let reg = Day::from_ymd(2014, 1, 1);
-        let heavy = b.add_actor(hf, "heavy", reg);
-        let light = b.add_actor(hf, "light", reg);
-        let outsider = b.add_actor(other, "outsider", reg);
-        let early = b.add_actor(hf, "early", reg);
-
-        // One eWhoring thread on HF holding everyone's posts, plus one on
-        // the other forum for the outsider.
-        let t_ew = b.add_thread(ew, heavy, "pics", Day::from_ymd(2016, 1, 1));
-        for i in 0..60 {
-            // `heavy` and `early` clear the >50 threshold…
-            b.add_post(
-                t_ew,
-                heavy,
-                Day::from_ymd(2016, 1, 1).plus_days(i),
-                "p",
-                None,
-            );
-            b.add_post(
-                t_ew,
-                early,
-                Day::from_ymd(2016, 1, 1).plus_days(i),
-                "p",
-                None,
-            );
-        }
-        for i in 60..70 {
-            // …`light` does not (posts must stay chronological in-thread).
-            b.add_post(
-                t_ew,
-                light,
-                Day::from_ymd(2016, 1, 1).plus_days(i),
-                "p",
-                None,
-            );
-        }
-        let t_ew2 = b.add_thread(ew_other, outsider, "pics", Day::from_ymd(2016, 1, 1));
-        for i in 0..60 {
-            b.add_post(
-                t_ew2,
-                outsider,
-                Day::from_ymd(2016, 1, 1).plus_days(i),
-                "p",
-                None,
-            );
-        }
-
-        // Currency Exchange threads: `heavy` starts two after entering
-        // eWhoring; `light` starts one (filtered: too few posts);
-        // `outsider` starts one on the wrong forum; `early` only started
-        // CE *before* their first eWhoring post.
-        b.add_thread(ce, heavy, "btc", Day::from_ymd(2016, 6, 1));
-        b.add_thread(ce, heavy, "pp", Day::from_ymd(2016, 7, 1));
-        b.add_thread(ce, light, "btc", Day::from_ymd(2016, 6, 1));
-        b.add_thread(ce_other, outsider, "btc", Day::from_ymd(2016, 6, 1));
-        b.add_thread(ce, early, "btc", Day::from_ymd(2015, 6, 1));
-        let corpus = b.build();
-
-        let out = ce_threads_by_actor(&corpus, hf, &[t_ew, t_ew2]);
-
-        assert_eq!(out.get(&heavy), Some(&2), "qualifies on every gate");
-        assert!(!out.contains_key(&light), "≤50 eWhoring posts");
-        assert!(
-            !out.contains_key(&outsider),
-            "not a HackForums member, despite >50 posts and a CE thread"
-        );
-        assert!(
-            !out.contains_key(&early),
-            "CE thread predates their first eWhoring post"
-        );
-        assert_eq!(out.len(), 1);
     }
 }

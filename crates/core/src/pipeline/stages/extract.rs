@@ -10,8 +10,9 @@
 //! [`CorruptionPlan`]: crate::pipeline::corruption::CorruptionPlan
 
 use crate::extract::{extract_ewhoring_threads, EwhoringSet};
-use crate::pipeline::corruption::RecordErrorKind;
+use crate::pipeline::corruption::{CorruptionPlan, RecordErrorKind};
 use crate::pipeline::{Stage, StageCtx, StageError};
+use crimebb::Corpus;
 
 /// Produces `extraction` and `all_threads`.
 pub struct ExtractStage;
@@ -23,46 +24,58 @@ impl Stage for ExtractStage {
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), StageError> {
         let mut set = extract_ewhoring_threads(&ctx.world.corpus);
-        let plan = ctx.corruption;
-        if plan.is_enabled() {
-            let before = set.len();
-            let mut quarantined = Vec::new();
-            for (_, threads) in &mut set.per_forum {
-                threads.retain(|&t| {
-                    if let Some(kind) = plan.thread_row(t) {
-                        quarantined.push((format!("thread/{}", t.0), kind));
-                        return false;
-                    }
-                    if let Some(bytes) =
-                        plan.mangled_heading(t, &ctx.world.corpus.thread(t).heading)
-                    {
-                        // The plan damages bytes; only an actual UTF-8
-                        // validation failure quarantines the record.
-                        if std::str::from_utf8(&bytes).is_err() {
-                            quarantined.push((
-                                format!("thread/{}", t.0),
-                                RecordErrorKind::InvalidUtf8Heading,
-                            ));
-                            return false;
-                        }
-                    }
-                    true
-                });
-            }
-            let records = quarantined.len();
-            for (record, kind) in quarantined {
-                ctx.ledger.record("extract", record, kind);
-            }
-            if set.is_empty() && before > 0 {
-                return Err(StageError::Quarantined {
-                    stage: "extract",
-                    records,
-                });
-            }
+        let before = set.len();
+        let quarantined = quarantine_corrupt_threads(&mut set, &ctx.world.corpus, &ctx.corruption);
+        let records = quarantined.len();
+        for (record, kind) in quarantined {
+            ctx.ledger.record("extract", record, kind);
+        }
+        if set.is_empty() && before > 0 {
+            return Err(StageError::Quarantined {
+                stage: "extract",
+                records,
+            });
         }
         finish(ctx, set);
         Ok(())
     }
+}
+
+/// The ingestion filter: drops every extracted thread the corruption
+/// plan damaged and returns its `(record, kind)` quarantine entries in
+/// forum-major extraction order. A thread goes when its row is truncated
+/// or malformed, or when its mangled heading bytes fail UTF-8
+/// validation. An inert plan drops nothing.
+pub(crate) fn quarantine_corrupt_threads(
+    set: &mut EwhoringSet,
+    corpus: &Corpus,
+    plan: &CorruptionPlan,
+) -> Vec<(String, RecordErrorKind)> {
+    let mut quarantined = Vec::new();
+    if !plan.is_enabled() {
+        return quarantined;
+    }
+    for (_, threads) in &mut set.per_forum {
+        threads.retain(|&t| {
+            if let Some(kind) = plan.thread_row(t) {
+                quarantined.push((format!("thread/{}", t.0), kind));
+                return false;
+            }
+            if let Some(bytes) = plan.mangled_heading(t, &corpus.thread(t).heading) {
+                // The plan damages bytes; only an actual UTF-8
+                // validation failure quarantines the record.
+                if std::str::from_utf8(&bytes).is_err() {
+                    quarantined.push((
+                        format!("thread/{}", t.0),
+                        RecordErrorKind::InvalidUtf8Heading,
+                    ));
+                    return false;
+                }
+            }
+            true
+        });
+    }
+    quarantined
 }
 
 /// Writes the (possibly filtered) extraction set into the context.

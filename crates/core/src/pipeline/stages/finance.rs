@@ -1,17 +1,16 @@
-//! Stage `finance`: earnings harvest and cash-out analysis (paper §5).
+//! Stage `finance`: the earnings harvest and its §5.2 aggregates (paper
+//! §5). Table 7, the other §5 measurement, is a finisher of the actor
+//! survey and comes out of the `actors` stage.
 //!
 //! Reuses the safety stage's gate so proof-of-earnings screenshots are
 //! screened through the same hash log the image screening used.
 
-use crate::finance::{
-    analyse_currency_exchange, analyse_currency_exchange_stream, analyse_earnings,
-    harvest_earnings, harvest_earnings_stream,
-};
+use crate::finance::{analyse_earnings, harvest_earnings, harvest_earnings_stream};
 use crate::pipeline::corruption::RecordErrorKind;
 use crate::pipeline::ctx::require;
 use crate::pipeline::{Stage, StageCtx, StageError};
 
-/// Produces `harvest`, `earnings`, and `currency`.
+/// Produces `harvest` and `earnings`.
 pub struct FinanceStage;
 
 impl Stage for FinanceStage {
@@ -69,12 +68,7 @@ impl Stage for FinanceStage {
             }
         }
 
-        let (earnings, currency) = if ctx.options.stream.is_some() {
-            let carry = &mut ctx
-                .carry
-                .as_mut()
-                .expect("stream options imply a carry")
-                .finance;
+        let earnings = match ctx.carry.as_mut() {
             // §5.2 aggregates: fold only the proofs that arrived since
             // the carried cursor — the same `EarningsAgg` code path
             // `analyse_earnings` runs in one shot, so the warm aggregate
@@ -82,27 +76,18 @@ impl Stage for FinanceStage {
             // corruption plan filters a per-run *copy* of the proof
             // list, so that path re-aggregates the filtered copy in
             // full and leaves the clean carry untouched.
-            let earnings = if plan.is_enabled() {
-                analyse_earnings(&harvest)
-            } else {
+            Some(carry) if !plan.is_enabled() => {
+                let carry = &mut carry.finance;
                 carry.agg.fold(&carry.proofs[carry.agg_cursor..]);
                 carry.agg_cursor = carry.proofs.len();
                 carry.agg.finish()
-            };
-            // Table 7 from the carried per-actor tallies + CE ledger.
-            let currency = analyse_currency_exchange_stream(&world.corpus, world.hackforums, carry);
-            (earnings, currency)
-        } else {
-            (
-                analyse_earnings(&harvest),
-                analyse_currency_exchange(&world.corpus, world.hackforums, all_threads),
-            )
+            }
+            _ => analyse_earnings(&harvest),
         };
 
         ctx.note_items(all_threads.len());
         ctx.harvest = Some(harvest);
         ctx.earnings = Some(earnings);
-        ctx.currency = Some(currency);
         Ok(())
     }
 }

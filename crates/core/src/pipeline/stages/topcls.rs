@@ -96,7 +96,7 @@ impl Stage for TopClassifierStage {
             }
             for (fresh, &cutoff) in buckets.iter().zip(&bounds) {
                 if carry.model.is_none() {
-                    carry.model = Some(bootstrap_at(
+                    carry.model = bootstrap_at(
                         &mut ctx.rng,
                         &world.corpus,
                         &world.catalog,
@@ -104,11 +104,17 @@ impl Stage for TopClassifierStage {
                         fresh,
                         cutoff,
                         workers,
-                    ));
+                    );
                 }
-                let model = carry.model.as_ref().expect("bootstrapped above");
-                let decided =
-                    model.decide_at(&world.corpus, &world.catalog, fresh, cutoff, workers);
+                let decided = match &carry.model {
+                    Some(model) => {
+                        model.decide_at(&world.corpus, &world.catalog, fresh, cutoff, workers)
+                    }
+                    // Too few threads so far to draw an annotation
+                    // sample: the bootstrap waits for a later bucket,
+                    // and without a model nothing here is flagged.
+                    None => vec![(false, false); fresh.len()],
+                };
                 carry
                     .decisions
                     .extend(fresh.iter().zip(&decided).map(|(&t, &(ml, h))| (t, ml, h)));
@@ -141,12 +147,23 @@ impl Stage for TopClassifierStage {
                     detected.push(t);
                 }
             }
-            let model = carry.model.as_ref().expect("at least one epoch ran");
+            // No model means no thread has been first-sighted yet: nothing
+            // was decided, so the report has zero detections.
+            let (hybrid_metrics, ml_metrics, heuristic_metrics, sample_positives) =
+                match &carry.model {
+                    Some(m) => (
+                        m.hybrid_metrics,
+                        m.ml_metrics,
+                        m.heuristic_metrics,
+                        m.sample_positives,
+                    ),
+                    None => Default::default(),
+                };
             TopClassification {
-                hybrid_metrics: model.hybrid_metrics,
-                ml_metrics: model.ml_metrics,
-                heuristic_metrics: model.heuristic_metrics,
-                sample_positives: model.sample_positives,
+                hybrid_metrics,
+                ml_metrics,
+                heuristic_metrics,
+                sample_positives,
                 detected,
                 ml_count,
                 heuristic_count,

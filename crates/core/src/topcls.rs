@@ -131,9 +131,14 @@ pub fn annotation_sample(
             rest.push(t);
         }
     }
+    let n_promising = (size * 2 / 5).min(promising.len());
+    if n_promising == 0 && rest.is_empty() {
+        // Too few candidates for a promising slot and no others: the
+        // sample is empty, decided without drawing from `rng`.
+        return Vec::new();
+    }
     promising.shuffle(rng);
     rest.shuffle(rng);
-    let n_promising = (size * 2 / 5).min(promising.len());
     let mut sample: Vec<ThreadId> = promising.into_iter().take(n_promising).collect();
     sample.extend(rest.into_iter().take(size - sample.len()));
     sample.truncate(size);
@@ -289,9 +294,14 @@ pub fn annotation_sample_at(
             rest.push(t);
         }
     }
+    let n_promising = (size * 2 / 5).min(promising.len());
+    if n_promising == 0 && rest.is_empty() {
+        // Too few candidates for a promising slot and no others: the
+        // sample is empty, decided without drawing from `rng`.
+        return Vec::new();
+    }
     promising.shuffle(rng);
     rest.shuffle(rng);
-    let n_promising = (size * 2 / 5).min(promising.len());
     let mut sample: Vec<ThreadId> = promising.into_iter().take(n_promising).collect();
     sample.extend(rest.into_iter().take(size - sample.len()));
     sample.truncate(size);
@@ -299,9 +309,10 @@ pub fn annotation_sample_at(
 }
 
 /// The bootstrap-frozen classifier of streaming mode: model and held-out
-/// metrics trained once at the first epoch boundary, then applied
-/// unchanged to every later epoch's new threads. Serialisable so the
-/// epoch carry can freeze it across advances.
+/// metrics trained once at the first epoch boundary whose first-sight
+/// threads yield an annotation sample, then applied unchanged to every
+/// later epoch's new threads.
+/// Serialisable so the epoch carry can freeze it across advances.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BootstrapModel {
     /// The frozen feature extractor (vocabulary + IDF at the boundary).
@@ -319,10 +330,13 @@ pub struct BootstrapModel {
 }
 
 /// Trains the streaming bootstrap model: [`classify_tops`] steps 1–3
-/// with every input windowed to `cutoff` (the epoch-1 boundary).
-/// `threads` must be the threads existing by the cutoff, in extraction
-/// order. Pure in `(visible prefix, rng state)`, so the epoch-e corpus
-/// replays the epoch-1 training bit-exactly.
+/// with every input windowed to `cutoff` (the bootstrap boundary).
+/// `threads` must be the threads first-sighted by the cutoff, in
+/// extraction order. Pure in `(visible prefix, rng state)`, so a later
+/// corpus replays the training bit-exactly. `None` when `threads` yield
+/// no annotation sample to train on (an empty or one- or two-thread
+/// first epoch); no randomness is drawn then, so a later boundary
+/// bootstraps from the same rng state.
 pub fn bootstrap_at(
     rng: &mut StdRng,
     corpus: &Corpus,
@@ -331,8 +345,11 @@ pub fn bootstrap_at(
     threads: &[ThreadId],
     cutoff: Day,
     workers: usize,
-) -> BootstrapModel {
+) -> Option<BootstrapModel> {
     let sample = annotation_sample_at(rng, corpus, catalog, threads, ANNOTATION_SAMPLE, cutoff);
+    if sample.is_empty() {
+        return None;
+    }
     let labels: Vec<bool> = sample.iter().map(|&t| truth.is_top(t)).collect();
     let sample_positives = labels.iter().filter(|&&l| l).count();
 
@@ -375,14 +392,14 @@ pub fn bootstrap_at(
         .map(|(&m, &h)| m || h)
         .collect();
 
-    BootstrapModel {
+    Some(BootstrapModel {
         hybrid_metrics: confusion(&hybrid_pred, &test_y).metrics(),
         ml_metrics: confusion(&ml_pred, &test_y).metrics(),
         heuristic_metrics: confusion(&heur_pred, &test_y).metrics(),
         sample_positives,
         extractor,
         svm,
-    }
+    })
 }
 
 impl BootstrapModel {

@@ -22,4 +22,4 @@ pub use centrality::{
 };
 pub use graph::DiGraph;
 pub use hindex::{h_index, i_index};
-pub use pagerank::{pagerank, pagerank_par, pagerank_par_from};
+pub use pagerank::pagerank;

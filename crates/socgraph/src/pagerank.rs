@@ -14,47 +14,16 @@ use crate::graph::DiGraph;
 /// teleports uniformly otherwise; dangling mass is redistributed
 /// uniformly. Iterates until the L1 change drops below `1e-10` or
 /// `max_iter` rounds. Self-loops are ignored, as in the centrality
-/// computation.
+/// computation. Each node gathers its in-edges in ascending-source order
+/// ([`DiGraph`] keeps in-edges sorted), so the result is deterministic.
 pub fn pagerank(g: &DiGraph, damping: f64, max_iter: usize) -> Vec<f64> {
-    pagerank_par(g, damping, max_iter, 1)
-}
-
-/// [`pagerank`] with the per-iteration gather split across `workers`
-/// threads (0 = all cores).
-///
-/// Each node pulls `damping · rank[u] / out_strength[u] · w` from its
-/// in-edges — the expression the serial push sweep computes as
-/// `share · w` — in the same ascending-source order ([`DiGraph`] keeps
-/// in-edges sorted by source), so the ranks are **bit-identical** to the
-/// serial result for any worker count.
-pub fn pagerank_par(g: &DiGraph, damping: f64, max_iter: usize, workers: usize) -> Vec<f64> {
-    let n = g.node_count();
-    let uniform = vec![1.0 / n.max(1) as f64; n];
-    pagerank_par_from(g, &uniform, damping, max_iter, workers)
-}
-
-/// [`pagerank_par`] warm-started from `start` instead of the uniform
-/// distribution — the epoch-pipeline counterpart of
-/// [`crate::eigenvector_centrality_from`]: carry the previous epoch's
-/// ranks across a graph append and converge on the delta. Deterministic
-/// in `(graph, start)` at the same fixed tolerance, so chain replays
-/// reproduce every epoch's ranks bit-exactly. Sweep buffers are reused
-/// across iterations.
-pub fn pagerank_par_from(
-    g: &DiGraph,
-    start: &[f64],
-    damping: f64,
-    max_iter: usize,
-    workers: usize,
-) -> Vec<f64> {
     assert!((0.0..1.0).contains(&damping), "damping in [0, 1)");
     let n = g.node_count();
     if n == 0 {
         return Vec::new();
     }
-    assert_eq!(start.len(), n, "start vector must cover every node");
     let uniform = 1.0 / n as f64;
-    let mut rank = start.to_vec();
+    let mut rank = vec![uniform; n];
     let mut next = vec![0.0; n];
 
     // Precompute out strengths without self-loops.
@@ -76,7 +45,7 @@ pub fn pagerank_par_from(
             }
         }
         let base = (1.0 - damping) * uniform + damping * dangling * uniform;
-        parkit::par_fill_range(&mut next, workers, |v| {
+        for (v, slot) in next.iter_mut().enumerate() {
             let mut acc = base;
             for &(u, w) in g.in_edges(v as u32) {
                 let s = out_strength[u as usize];
@@ -84,8 +53,8 @@ pub fn pagerank_par_from(
                     acc += damping * rank[u as usize] / s * w;
                 }
             }
-            acc
-        });
+            *slot = acc;
+        }
         let delta: f64 = rank.iter().zip(&next).map(|(a, b)| (a - b).abs()).sum();
         std::mem::swap(&mut rank, &mut next);
         if delta < 1e-10 {
@@ -159,62 +128,6 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(top_pr, top_ev);
-    }
-
-    /// The bit-identity contract, including dangling nodes (no out-edges).
-    #[test]
-    fn parallel_gather_is_bit_identical_to_serial() {
-        let mut g = DiGraph::with_nodes(300);
-        for i in 0..290u32 {
-            // Leave nodes 290.. dangling.
-            g.add_edge(i, (i * 11 + 2) % 300, 1.0 + f64::from(i % 3));
-        }
-        let serial = pagerank(&g, 0.85, 200);
-        for workers in [2, 3, 7] {
-            let par = pagerank_par(&g, 0.85, 200, workers);
-            assert!(
-                serial
-                    .iter()
-                    .zip(&par)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "workers={workers} diverged"
-            );
-        }
-    }
-
-    /// Same warm-start contract as eigenvector centrality: `_from` with
-    /// the uniform start is the classic computation, and chains over
-    /// growing graphs replay bit-exactly.
-    #[test]
-    fn warm_start_chain_replays_bit_identically() {
-        let mut g1 = DiGraph::with_nodes(150);
-        for i in 0..100u32 {
-            g1.add_edge(i, (i * 11 + 2) % 150, 1.0);
-        }
-        let mut g2 = g1.clone();
-        for i in 100..150u32 {
-            g2.add_edge(i, (i * 3 + 5) % 150, 1.5);
-        }
-        let uniform = vec![1.0 / 150.0; 150];
-        assert_eq!(
-            pagerank_par_from(&g1, &uniform, 0.85, 200, 1),
-            pagerank_par(&g1, 0.85, 200, 1),
-            "uniform start is the classic computation"
-        );
-        let r1 = pagerank_par_from(&g1, &uniform, 0.85, 200, 1);
-        let r2 = pagerank_par_from(&g2, &r1, 0.85, 200, 1);
-        for workers in [1, 2, 7] {
-            let s1 = pagerank_par_from(&g1, &uniform, 0.85, 200, workers);
-            let s2 = pagerank_par_from(&g2, &s1, 0.85, 200, workers);
-            assert!(
-                r1.iter().zip(&s1).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "epoch-1 replay diverged (workers={workers})"
-            );
-            assert!(
-                r2.iter().zip(&s2).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "epoch-2 replay diverged (workers={workers})"
-            );
-        }
     }
 
     #[test]

@@ -97,3 +97,42 @@ fn single_forum_metrics_hold() {
         assert!(row.tops <= row.threads, "{}", row.forum);
     }
 }
+
+/// Regression: at seed 5, scale 0.02 and 20 epochs, epoch 1 first-sights
+/// a single thread — too few to draw an annotation sample from, which
+/// used to panic the classifier bootstrap ("n_train 1 exceeds n 0"). The
+/// bootstrap now waits for a later epoch: epoch 1 reports zero
+/// detections, and every warm advance still equals a fresh recompute.
+#[test]
+fn first_epoch_too_small_to_bootstrap_defers_the_model() {
+    use ewhoring_core::pipeline::{snapshot_json, EpochEngine, RunSpec};
+
+    let spec = RunSpec {
+        scale: 0.02,
+        seed: 5,
+        workers: 2,
+        epochs: 20,
+        upto: 1,
+        ..RunSpec::default()
+    };
+    let world = World::generate(spec.world_config());
+    let mut engine = EpochEngine::new(world, spec.epochs, spec.options());
+    let first = engine.advance().expect("epoch 1 advances");
+    assert!(engine.carry().topcls.model.is_none(), "nothing to train on");
+    assert!(first.topcls.detected.is_empty());
+    assert_eq!(first.topcls.ml_count + first.topcls.heuristic_count, 0);
+    while engine.carry().topcls.model.is_none() && engine.epoch() < 6 {
+        let warm = engine.advance().expect("advance");
+        let fresh = engine.fresh_report().expect("fresh recompute");
+        assert_eq!(
+            snapshot_json(&warm).unwrap(),
+            snapshot_json(&fresh).unwrap(),
+            "epoch {} warm advance diverged from a fresh recompute",
+            engine.epoch()
+        );
+    }
+    assert!(
+        engine.carry().topcls.model.is_some(),
+        "a later epoch bootstraps the model"
+    );
+}

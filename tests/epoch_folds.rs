@@ -7,12 +7,14 @@
 //! contract: the folded artifacts must serialize byte-for-byte equal to
 //! a direct batch recomputation over the final streamed world, across
 //! worker counts and epoch counts — including epochs=1, where the
-//! "fold" is a single slice covering the whole timeline.
+//! "fold" is a single slice covering the whole timeline. A raw generated
+//! world (ids in generation order, not chronological) pins the batch
+//! schedule of the same actor survey.
 
-use ewhoring_core::actors::{actor_metrics, cohort_table};
+use ewhoring_core::actors::{actor_metrics, cohort_table, interaction_graph, ActorFold};
 use ewhoring_core::extract::extract_ewhoring_threads;
 use ewhoring_core::finance::{analyse_currency_exchange, analyse_earnings};
-use ewhoring_core::pipeline::{stream_world, EpochEngine, PipelineOptions, StreamSpec};
+use ewhoring_core::pipeline::{stream_world, EpochEngine, Pipeline, PipelineOptions, StreamSpec};
 use worldgen::{World, WorldConfig};
 
 const SEED: u64 = 0xF01D;
@@ -90,4 +92,40 @@ fn folded_artifacts_match_batch_recomputation_across_matrix() {
             );
         }
     }
+}
+
+/// The batch schedule of the actor survey over a raw generated world,
+/// whose ids follow generation order rather than the timeline: the
+/// unsharded report's Table 8 and Table 7, and the survey's graph, must
+/// equal the reference implementations.
+#[test]
+fn raw_world_survey_matches_batch_references() {
+    let world = World::generate(WorldConfig::test_scale(SEED));
+    let corpus = &world.corpus;
+    let threads = extract_ewhoring_threads(corpus).all_threads();
+    let report = Pipeline::new(PipelineOptions::default()).run(&world);
+
+    assert!(!report.cohorts.is_empty());
+    assert_eq!(
+        json!(&report.cohorts),
+        json!(&cohort_table(&actor_metrics(corpus, &threads))),
+        "batch cohorts diverged from actor_metrics"
+    );
+    assert!(report.currency.threads > 0);
+    assert_eq!(
+        json!(&report.currency),
+        json!(&analyse_currency_exchange(
+            corpus,
+            world.hackforums,
+            &threads
+        )),
+        "batch Table 7 diverged from analyse_currency_exchange"
+    );
+    let survey = ActorFold::survey(corpus, &threads);
+    assert!(survey.graph.edge_count() > 0);
+    assert_eq!(
+        json!(&survey.graph),
+        json!(&interaction_graph(corpus, &threads)),
+        "survey graph diverged from interaction_graph"
+    );
 }
