@@ -94,6 +94,7 @@ fn bench_tables(c: &mut Criterion) {
                 &packs,
                 &authors,
                 &[],
+                1,
             );
             black_box(out.packs.matched)
         })

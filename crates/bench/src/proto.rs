@@ -130,19 +130,30 @@ fn u64_field(map: &serde::Map, name: &str, default: u64) -> Result<u64, String> 
     }
 }
 
+/// Reads one optional integer field and narrows it to `T`, rejecting a
+/// value `T` cannot hold instead of truncating it.
+fn narrow_field<T: TryFrom<u64>>(map: &serde::Map, name: &str, default: u64) -> Result<T, String> {
+    let v = u64_field(map, name, default)?;
+    T::try_from(v).map_err(|_| format!("field `{name}` is out of range: {v}"))
+}
+
 /// Decodes a run spec from a `run` request; every field is optional and
 /// defaults match the batch CLI's defaults.
 fn decode_spec(map: &serde::Map) -> Result<RunSpec, String> {
     let defaults = RunSpec::default();
+    let scale = f64_field(map, "scale", defaults.scale)?;
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!("field `scale` must be finite and > 0, got {scale}"));
+    }
     Ok(RunSpec {
-        scale: f64_field(map, "scale", defaults.scale)?,
+        scale,
         seed: u64_field(map, "seed", defaults.seed)?,
-        workers: u64_field(map, "workers", defaults.workers as u64)? as usize,
+        workers: narrow_field(map, "workers", defaults.workers as u64)?,
         faults: f64_field(map, "faults", defaults.faults)?,
         corruption: f64_field(map, "corruption", defaults.corruption)?,
-        epochs: u64_field(map, "epochs", defaults.epochs as u64)? as u32,
-        upto: u64_field(map, "upto", defaults.upto as u64)? as u32,
-        shards: u64_field(map, "shards", defaults.shards as u64)? as usize,
+        epochs: narrow_field(map, "epochs", defaults.epochs.into())?,
+        upto: narrow_field(map, "upto", defaults.upto.into())?,
+        shards: narrow_field(map, "shards", defaults.shards as u64)?,
     })
 }
 
@@ -281,6 +292,32 @@ mod tests {
         assert!(Request::decode(r#"{"cmd":"run","scale":"big"}"#)
             .unwrap_err()
             .contains("scale"));
+    }
+
+    #[test]
+    fn oversized_integers_are_rejected_not_truncated() {
+        // 2^32 + 1 used to wrap to 1 when narrowed to `u32`.
+        for field in ["epochs", "upto"] {
+            let line = format!(r#"{{"cmd":"advance","{field}":4294967297}}"#);
+            let err = Request::decode(&line).unwrap_err();
+            assert!(err.contains(field) && err.contains("out of range"), "{err}");
+        }
+        let max = format!(r#"{{"cmd":"advance","epochs":{}}}"#, u32::MAX);
+        assert!(Request::decode(&max).is_ok());
+        assert!(Request::decode(r#"{"cmd":"run","shards":-1}"#)
+            .unwrap_err()
+            .contains("shards"));
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_scales_are_rejected() {
+        for scale in ["-1", "0", "0.0", "-0.5", "1e999"] {
+            let line = format!(r#"{{"cmd":"run","scale":{scale}}}"#);
+            let err = Request::decode(&line).unwrap_err();
+            assert!(err.contains("scale"), "{scale}: {err}");
+        }
+        assert!(Request::decode(r#"{"cmd":"advance","scale":-1,"epochs":2}"#).is_err());
+        assert!(Request::decode(r#"{"cmd":"run","scale":0.001}"#).is_ok());
     }
 
     #[test]

@@ -600,7 +600,13 @@ fn gate_measure_rate(serial_timings: &[StageTiming], floor: f64) -> Result<(), S
 
 /// Stages whose per-item loops run on the `core::par` layer; the
 /// aggregate speedup is computed over these.
-const PARALLEL_STAGES: [&str; 4] = ["top_classifier", "measure_images", "nsfv", "actors"];
+const PARALLEL_STAGES: [&str; 5] = [
+    "top_classifier",
+    "measure_images",
+    "nsfv",
+    "provenance",
+    "actors",
+];
 
 /// Items-per-second for one timing entry.
 fn items_per_sec(t: &StageTiming) -> f64 {

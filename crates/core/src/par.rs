@@ -9,6 +9,7 @@
 //!   hybrid classification (`core::features`, `core::topcls`), plus the
 //!   document-term matrix / TF-IDF work in `textkit::dtm`;
 //! * `nsfv` — validation-set scoring and the exact-dedup digest count;
+//! * `provenance` — one reverse search per query key ([`par_map`]);
 //! * `actors` — the eigenvector-centrality inner loop in `socgraph`
 //!   (and PageRank for the ablation benches).
 //!

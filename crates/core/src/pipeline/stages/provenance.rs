@@ -71,6 +71,7 @@ impl Stage for ProvenanceStage {
                 &packs_for_analysis,
                 &pack_authors,
                 previews_nsfv,
+                ctx.options.workers,
                 memo,
             )
         } else {
@@ -81,6 +82,7 @@ impl Stage for ProvenanceStage {
                 &packs_for_analysis,
                 &pack_authors,
                 previews_nsfv,
+                ctx.options.workers,
             )
         };
         ctx.note_items(packs_for_analysis.len() + previews_nsfv.len());

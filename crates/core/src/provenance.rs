@@ -9,10 +9,12 @@
 //! classifiers (Table 6).
 
 use crate::nsfv::ImageMeasures;
+use crate::par::par_map;
 use crimebb::ThreadId;
 use imagesim::RobustHash;
 use revsearch::{ClassifierKind, DomainClassifier, ReverseIndex, Wayback};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use synthrand::Day;
 use websim::OriginRegistry;
@@ -125,10 +127,10 @@ pub struct QueryOutcome {
 fn run_query(
     index: &ReverseIndex,
     wayback: &Wayback,
-    measures: &ImageMeasures,
+    hash: &RobustHash,
     posted: Day,
 ) -> QueryOutcome {
-    let matches = index.query(&measures.hash);
+    let matches = index.query(hash);
     let mut seen_before = false;
     let mut domains = Vec::with_capacity(matches.len());
     for m in &matches {
@@ -144,7 +146,26 @@ fn run_query(
     }
 }
 
-/// Runs the full provenance stage.
+/// The reverse-search keys of one §4.5 traversal, in traversal order:
+/// the sampled images of each pack, then every preview.
+fn query_keys(
+    packs: &[PackForAnalysis],
+    previews: &[(ImageMeasures, Day)],
+) -> Vec<(RobustHash, Day)> {
+    packs
+        .iter()
+        .flat_map(|p| {
+            sample_pack_images(&p.images)
+                .into_iter()
+                .map(move |m| (m.hash, p.posted))
+        })
+        .chain(previews.iter().map(|(m, posted)| (m.hash, *posted)))
+        .collect()
+}
+
+/// Runs the full provenance stage, spreading the reverse searches over
+/// `workers` threads (`0` = all cores). Each query is pure in its key,
+/// so the result is the same at every worker count.
 pub fn analyse_provenance(
     index: &ReverseIndex,
     wayback: &Wayback,
@@ -152,18 +173,23 @@ pub fn analyse_provenance(
     packs: &[PackForAnalysis],
     pack_authors: &[crimebb::ActorId],
     previews: &[(ImageMeasures, Day)],
+    workers: usize,
 ) -> ProvenanceResult {
-    analyse_with(origins, packs, pack_authors, previews, &mut |m, posted| {
-        run_query(index, wayback, m, posted)
-    })
+    let keys = query_keys(packs, previews);
+    let outcomes = par_map(&keys, workers, |(hash, posted)| {
+        run_query(index, wayback, hash, *posted)
+    });
+    analyse_with(origins, packs, pack_authors, previews.len(), &outcomes)
 }
 
 /// [`analyse_provenance`] with a cross-run memo of reverse-search
 /// outcomes, keyed `(hash, posted)`. A hit skips the linear index scan
 /// and the Wayback lookups; the memoised value is exact because
-/// [`QueryOutcome`] is pure in the key for fixed services. Fresh
-/// outcomes are appended to `memo` in first-query order, so warm and
-/// fresh carriers build identical memos for the same prefix.
+/// [`QueryOutcome`] is pure in the key for fixed services. Only the
+/// misses are searched, deduplicated and in first-query order, and they
+/// are appended to `memo` in that order, so warm and fresh carriers
+/// build identical memos for the same prefix.
+#[allow(clippy::too_many_arguments)]
 pub fn analyse_provenance_memo(
     index: &ReverseIndex,
     wayback: &Wayback,
@@ -171,34 +197,39 @@ pub fn analyse_provenance_memo(
     packs: &[PackForAnalysis],
     pack_authors: &[crimebb::ActorId],
     previews: &[(ImageMeasures, Day)],
+    workers: usize,
     memo: &mut Vec<(RobustHash, Day, QueryOutcome)>,
 ) -> ProvenanceResult {
-    let mut known: HashMap<(RobustHash, Day), QueryOutcome> =
-        memo.iter().map(|(h, d, q)| ((*h, *d), q.clone())).collect();
-    let mut fresh: Vec<(RobustHash, Day, QueryOutcome)> = Vec::new();
-    let result = analyse_with(origins, packs, pack_authors, previews, &mut |m, posted| {
-        let key = (m.hash, posted);
-        if let Some(hit) = known.get(&key) {
-            return hit.clone();
-        }
-        let q = run_query(index, wayback, m, posted);
-        known.insert(key, q.clone());
-        fresh.push((key.0, key.1, q.clone()));
-        q
+    let keys = query_keys(packs, previews);
+    let mut slot: HashMap<(RobustHash, Day), usize> = memo
+        .iter()
+        .enumerate()
+        .map(|(i, (h, d, _))| ((*h, *d), i))
+        .collect();
+    let mut misses: Vec<(RobustHash, Day)> = Vec::new();
+    for key in &keys {
+        slot.entry(*key).or_insert_with(|| {
+            misses.push(*key);
+            memo.len() + misses.len() - 1
+        });
+    }
+    let fresh = par_map(&misses, workers, |(hash, posted)| {
+        run_query(index, wayback, hash, *posted)
     });
-    memo.extend(fresh);
-    result
+    memo.extend(misses.into_iter().zip(fresh).map(|((h, d), q)| (h, d, q)));
+    let outcomes: Vec<&QueryOutcome> = keys.iter().map(|key| &memo[slot[key]].2).collect();
+    analyse_with(origins, packs, pack_authors, previews.len(), &outcomes)
 }
 
-/// The §4.5 aggregation over an arbitrary query function — the seam
-/// that lets the memoised and direct paths share one traversal, so a
-/// memo hit cannot drift from a recomputed outcome.
-fn analyse_with(
+/// The §4.5 aggregation over reverse-search outcomes listed in
+/// [`query_keys`] order — the one traversal the memoised and direct
+/// paths share, so a memo hit cannot drift from a recomputed outcome.
+fn analyse_with<Q: Borrow<QueryOutcome>>(
     origins: &OriginRegistry,
     packs: &[PackForAnalysis],
     pack_authors: &[crimebb::ActorId],
-    previews: &[(ImageMeasures, Day)],
-    query: &mut dyn FnMut(&ImageMeasures, Day) -> QueryOutcome,
+    n_previews: usize,
+    outcomes: &[Q],
 ) -> ProvenanceResult {
     assert_eq!(packs.len(), pack_authors.len(), "author per pack");
     let mut result = ProvenanceResult {
@@ -210,10 +241,13 @@ fn analyse_with(
 
     // Packs: 3 samples each.
     let mut pack_match_sum = 0usize;
+    let mut outcomes = outcomes.iter().map(<Q as Borrow<QueryOutcome>>::borrow);
     for (pack, &author) in packs.iter().zip(pack_authors) {
         let mut pack_zero = true;
-        for m in sample_pack_images(&pack.images) {
-            let q = query(&m, pack.posted);
+        for q in outcomes
+            .by_ref()
+            .take(sample_pack_images(&pack.images).len())
+        {
             result.packs.total += 1;
             if q.matches > 0 {
                 result.packs.matched += 1;
@@ -223,7 +257,7 @@ fn analyse_with(
                 if q.seen_before {
                     result.packs.seen_before += 1;
                 }
-                matched_domains.extend(q.domains);
+                matched_domains.extend(&q.domains);
             }
         }
         let e = zero_by_actor.entry(author).or_insert((0, 0));
@@ -246,8 +280,7 @@ fn analyse_with(
 
     // Previews: every NSFV image.
     let mut preview_match_sum = 0usize;
-    for (m, posted) in previews {
-        let q = query(m, *posted);
+    for q in outcomes {
         result.previews.total += 1;
         if q.matches > 0 {
             result.previews.matched += 1;
@@ -256,9 +289,10 @@ fn analyse_with(
             if q.seen_before {
                 result.previews.seen_before += 1;
             }
-            matched_domains.extend(q.domains);
+            matched_domains.extend(&q.domains);
         }
     }
+    assert_eq!(result.previews.total, n_previews, "one outcome per query");
     result.previews.ratio = if result.previews.matched > 0 {
         preview_match_sum as f64 / result.previews.matched as f64
     } else {
@@ -321,16 +355,17 @@ mod tests {
         );
     }
 
-    #[test]
-    fn end_to_end_provenance_over_generated_world() {
-        use worldgen::{World, WorldConfig};
-        let w = World::generate(WorldConfig::test_scale(0x960));
-
-        // Build pack inputs straight from ground truth (pipeline wiring is
-        // tested at the pipeline level).
+    /// Pack inputs built straight from ground truth (pipeline wiring is
+    /// tested at the pipeline level): the first `n_packs` hosted packs,
+    /// each cut to its first `n_images` images, with their authors.
+    fn pack_inputs(
+        w: &worldgen::World,
+        n_packs: usize,
+        n_images: usize,
+    ) -> (Vec<PackForAnalysis>, Vec<crimebb::ActorId>) {
         let mut packs = Vec::new();
         let mut authors = Vec::new();
-        for rec in w.truth.packs.iter().take(40) {
+        for rec in w.truth.packs.iter().take(n_packs) {
             if let Some(entry) = w.web.entry(&rec.url) {
                 if let websim::HostedObject::Pack { images } = &entry.object {
                     packs.push(PackForAnalysis {
@@ -338,7 +373,7 @@ mod tests {
                         posted: rec.posted,
                         images: images
                             .iter()
-                            .take(12)
+                            .take(n_images)
                             .map(|s| ImageMeasures::of(&s.render()))
                             .collect(),
                     });
@@ -347,7 +382,23 @@ mod tests {
             }
         }
         assert!(!packs.is_empty());
-        let r = analyse_provenance(&w.index, &w.wayback, &w.origins, &packs, &authors, &[]);
+        (packs, authors)
+    }
+
+    /// One preview per pack: its first image, shared on the pack's date.
+    fn previews_of(packs: &[PackForAnalysis]) -> Vec<(ImageMeasures, Day)> {
+        packs
+            .iter()
+            .flat_map(|p| p.images.iter().take(1).map(|m| (*m, p.posted)))
+            .collect()
+    }
+
+    #[test]
+    fn end_to_end_provenance_over_generated_world() {
+        use worldgen::{World, WorldConfig};
+        let w = World::generate(WorldConfig::test_scale(0x960));
+        let (packs, authors) = pack_inputs(&w, 40, 12);
+        let r = analyse_provenance(&w.index, &w.wayback, &w.origins, &packs, &authors, &[], 1);
         assert_eq!(r.analysed_packs, packs.len());
         assert!(r.packs.total >= packs.len());
         // Standard/saturated packs dominate, so most queries match.
@@ -384,36 +435,15 @@ mod tests {
     fn memoised_analysis_matches_direct_and_reuses_entries() {
         use worldgen::{World, WorldConfig};
         let w = World::generate(WorldConfig::test_scale(0x962));
-        let mut packs = Vec::new();
-        let mut authors = Vec::new();
-        for rec in w.truth.packs.iter().take(20) {
-            if let Some(entry) = w.web.entry(&rec.url) {
-                if let websim::HostedObject::Pack { images } = &entry.object {
-                    packs.push(PackForAnalysis {
-                        thread: rec.thread,
-                        posted: rec.posted,
-                        images: images
-                            .iter()
-                            .take(10)
-                            .map(|s| ImageMeasures::of(&s.render()))
-                            .collect(),
-                    });
-                    authors.push(rec.actor);
-                }
-            }
-        }
-        assert!(!packs.is_empty());
-        let previews: Vec<(ImageMeasures, Day)> = packs
-            .iter()
-            .flat_map(|p| p.images.iter().take(1).map(|m| (m.clone(), p.posted)))
-            .collect();
+        let (packs, authors) = pack_inputs(&w, 20, 10);
+        let previews = previews_of(&packs);
 
         let direct = analyse_provenance(
-            &w.index, &w.wayback, &w.origins, &packs, &authors, &previews,
+            &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, 1,
         );
         let mut memo = Vec::new();
         let cold = analyse_provenance_memo(
-            &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, &mut memo,
+            &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, 1, &mut memo,
         );
         let snap = |r: &ProvenanceResult| serde_json::to_string(r).unwrap();
         assert_eq!(snap(&direct), snap(&cold));
@@ -421,10 +451,44 @@ mod tests {
 
         let filled = memo.len();
         let warm = analyse_provenance_memo(
-            &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, &mut memo,
+            &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, 1, &mut memo,
         );
         assert_eq!(snap(&direct), snap(&warm));
         assert_eq!(memo.len(), filled, "warm re-run adds no memo entries");
+    }
+
+    /// Both paths give the workers-1 result at any worker count, and the
+    /// memo fills in the same order. The query list (≈160 keys) spans
+    /// several chunks, so chunk boundaries are exercised.
+    #[test]
+    fn analysis_is_identical_at_every_worker_count() {
+        use worldgen::{World, WorldConfig};
+        let w = World::generate(WorldConfig::test_scale(0x962));
+        let (packs, authors) = pack_inputs(&w, 40, 10);
+        let previews = previews_of(&packs);
+        assert!(query_keys(&packs, &previews).len() > 2 * crate::par::SERIAL_CUTOFF);
+        let snap = |r: &ProvenanceResult| serde_json::to_string(r).unwrap();
+        let run = |workers| {
+            analyse_provenance(
+                &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, workers,
+            )
+        };
+        let run_memo = |workers| {
+            let mut memo = Vec::new();
+            let r = analyse_provenance_memo(
+                &w.index, &w.wayback, &w.origins, &packs, &authors, &previews, workers, &mut memo,
+            );
+            (snap(&r), serde_json::to_string(&memo).unwrap())
+        };
+        let reference = snap(&run(1));
+        let reference_memo = run_memo(1);
+        assert_eq!(reference_memo.0, reference);
+        parkit::set_clamp_enabled(false);
+        for workers in [2, 7] {
+            assert_eq!(snap(&run(workers)), reference, "workers={workers}");
+            assert_eq!(run_memo(workers), reference_memo, "memo workers={workers}");
+        }
+        parkit::set_clamp_enabled(true);
     }
 
     #[test]
@@ -455,7 +519,7 @@ mod tests {
         if packs.is_empty() {
             return; // tiny world without zero-match packs: nothing to test
         }
-        let r = analyse_provenance(&w.index, &w.wayback, &w.origins, &packs, &authors, &[]);
+        let r = analyse_provenance(&w.index, &w.wayback, &w.origins, &packs, &authors, &[], 1);
         // Mirrored/self-made packs must be (near) zero-match.
         assert!(
             r.zero_match_packs as f64 / packs.len() as f64 > 0.8,

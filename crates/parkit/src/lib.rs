@@ -2,9 +2,10 @@
 //!
 //! Every parallel stage in the workspace uses the same pattern, extracted
 //! from the original `measure_batch`: split the input into contiguous
-//! chunks, map each chunk on a scoped worker thread, and reassemble the
-//! per-chunk outputs **in input order**. Because the mapped function is a
-//! pure function of the item (and, for [`par_map_seeded`], of a seed
+//! chunks, map each chunk on a scoped worker thread (the calling thread
+//! maps the first chunk itself), and reassemble the per-chunk outputs
+//! **in input order**. Because the mapped function is a pure function
+//! of the item (and, for [`par_map_seeded`], of a seed
 //! derived from the item's fixed-size block — never from the worker
 //! count), the output is byte-identical for *any* worker count, including
 //! the serial fallback. That is the determinism contract the pipeline's
@@ -191,39 +192,54 @@ where
         );
     }
     let chunk = n.div_ceil(workers);
-    let mut out: Vec<U> = Vec::with_capacity(n);
-    let mut failure: Option<WorkerPanic> = None;
+    let mut parts = Vec::with_capacity(workers);
     crossbeam::scope(|s| {
         let f = &f;
-        let handles: Vec<_> = (0..n)
+        let run = move |start: usize| (start..(start + chunk).min(n)).map(f).collect::<Vec<U>>();
+        let handles: Vec<_> = (chunk..n)
             .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(n);
-                s.spawn(move |_| {
-                    catch_unwind(AssertUnwindSafe(|| (start..end).map(f).collect::<Vec<U>>()))
-                })
-            })
+            .map(|start| s.spawn(move |_| catch_unwind(AssertUnwindSafe(|| run(start)))))
             .collect();
-        for (c, h) in handles.into_iter().enumerate() {
-            match h.join().expect("worker holds its own panic") {
-                Ok(part) => out.extend(part),
-                Err(e) => {
-                    if failure.is_none() {
-                        failure = Some(WorkerPanic {
-                            stage,
-                            chunk: c,
-                            payload: panic_payload(e),
-                        });
-                    }
-                }
-            }
-        }
+        parts.push(catch_unwind(AssertUnwindSafe(|| run(0))));
+        parts.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker holds its own panic")),
+        );
     })
     .expect("parallel scope");
-    match failure {
-        None => Ok(out),
-        Some(e) => Err(e),
+    let parts = join_parts(stage, parts)?;
+    let mut out = Vec::with_capacity(n);
+    for part in parts {
+        out.extend(part);
     }
+    Ok(out)
+}
+
+/// Collects per-chunk results in chunk order, or names the first chunk
+/// whose closure panicked.
+///
+/// The parallel primitives map chunk 0 on the calling thread instead of
+/// leaving it idle in the join. That saves one spawn per call, and it
+/// keeps chunk 0's allocations in the caller's allocator arena. glibc
+/// keeps one arena per concurrent thread and holds on to memory freed
+/// in it, so every extra worker thread raises the peak RSS of a
+/// long-running process such as `serve`.
+fn join_parts<U>(
+    stage: &'static str,
+    parts: Vec<std::thread::Result<U>>,
+) -> Result<Vec<U>, WorkerPanic> {
+    parts
+        .into_iter()
+        .enumerate()
+        .map(|(chunk, part)| {
+            part.map_err(|e| WorkerPanic {
+                stage,
+                chunk,
+                payload: panic_payload(e),
+            })
+        })
+        .collect()
 }
 
 /// Fills `out[i] = f(i)` in place across `workers` threads — the
@@ -302,34 +318,23 @@ where
         });
     }
     let chunk = items.len().div_ceil(workers);
-    let mut out: Vec<U> = Vec::with_capacity(workers);
-    let mut failure: Option<WorkerPanic> = None;
+    let mut parts = Vec::with_capacity(workers);
     crossbeam::scope(|s| {
         let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
+        let mut chunks = items.chunks(chunk);
+        let first = chunks.next().expect("input is above the serial cutoff");
+        let handles: Vec<_> = chunks
             .map(|part| s.spawn(move |_| catch_unwind(AssertUnwindSafe(|| f(part)))))
             .collect();
-        for (c, h) in handles.into_iter().enumerate() {
-            match h.join().expect("worker holds its own panic") {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    if failure.is_none() {
-                        failure = Some(WorkerPanic {
-                            stage,
-                            chunk: c,
-                            payload: panic_payload(e),
-                        });
-                    }
-                }
-            }
-        }
+        parts.push(catch_unwind(AssertUnwindSafe(|| f(first))));
+        parts.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker holds its own panic")),
+        );
     })
     .expect("parallel scope");
-    match failure {
-        None => Ok(out),
-        Some(e) => Err(e),
-    }
+    join_parts(stage, parts)
 }
 
 /// Mixes a block index into a base seed (splitmix-style odd constant).
@@ -551,6 +556,30 @@ mod tests {
         assert_eq!(err.stage, "fold");
         assert_eq!(err.chunk, 4, "500 items over 5 workers: chunks of 100");
         assert_eq!(err.payload, "last chunk");
+    }
+
+    /// Chunk 0 runs on the calling thread; its panic is caught like a
+    /// worker's, and the lowest failing chunk is the one reported.
+    #[test]
+    fn calling_thread_chunk_panics_are_caught_and_named() {
+        set_clamp_enabled(false);
+        let err = try_par_map_range("caller", 1000, 4, |i| {
+            if i == 3 || i == 900 {
+                panic!("poisoned item {i}");
+            }
+            i
+        })
+        .unwrap_err();
+        assert_eq!((err.chunk, err.payload.as_str()), (0, "poisoned item 3"));
+        let items: Vec<u64> = (0..500).collect();
+        let err = try_par_map_chunks("caller", &items, 5, |part| -> usize {
+            if part.contains(&0) {
+                panic!("first chunk");
+            }
+            part.len()
+        })
+        .unwrap_err();
+        assert_eq!((err.chunk, err.payload.as_str()), (0, "first chunk"));
     }
 
     #[test]

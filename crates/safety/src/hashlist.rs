@@ -66,6 +66,11 @@ impl HashList {
         self.entries.is_empty()
     }
 
+    /// Every entry, in insertion order.
+    pub fn entries(&self) -> &[HashListEntry] {
+        &self.entries
+    }
+
     /// Matches `hash` against the list at the safety threshold, returning
     /// the closest entry if any qualifies.
     pub fn match_hash(&self, hash: &RobustHash) -> Option<&HashListEntry> {

@@ -18,7 +18,7 @@
 
 use crate::config::WorldConfig;
 use crate::truth::PackKind;
-use imagesim::{ImageClass, ImageSpec, RobustHash, Transform};
+use imagesim::{Bitmap, ImageClass, ImageSpec, RobustHash, Transform};
 use rand::rngs::StdRng;
 use rand::Rng;
 use revsearch::{IndexedImage, ReverseIndex, Wayback};
@@ -54,6 +54,50 @@ pub struct TopContent {
     pub has_csam: bool,
 }
 
+/// Index rows and hash-list entries waiting for their image hash.
+///
+/// Rendering and hashing an image draws no RNG, so the factory only
+/// records *which* spec each row needs (a slot in `specs`) while it
+/// walks the seeded streams; [`PackFactory::finish`] hashes every slot
+/// in one parallel pass and appends the rows in the order they were
+/// drawn.
+#[derive(Default)]
+struct DeferredHashes {
+    /// Specs to hash, one slot each.
+    specs: Vec<ImageSpec>,
+    /// Reverse-index rows: `(spec slot, domain, url, crawled)`.
+    rows: Vec<(usize, u32, String, Day)>,
+    /// Hash-list entries: `(spec slot, case, verifiable, severity)`.
+    cases: Vec<(usize, u32, bool, Option<Severity>)>,
+}
+
+impl DeferredHashes {
+    /// Queues `spec` for hashing and returns its slot.
+    fn slot(&mut self, spec: ImageSpec) -> usize {
+        self.specs.push(spec);
+        self.specs.len() - 1
+    }
+}
+
+/// Hashes `specs` in input order across `workers` threads (`0` = all
+/// cores). Each worker renders into one reused bitmap. The hash is pure
+/// in the spec, so the output is the same at every worker count.
+fn hash_specs(specs: &[ImageSpec], workers: usize) -> Vec<RobustHash> {
+    parkit::par_map_chunks(specs, workers, |chunk| {
+        let mut arena = Bitmap::canvas([0; 3]);
+        chunk
+            .iter()
+            .map(|spec| {
+                spec.render_into(&mut arena);
+                RobustHash::of(&arena)
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// Fabricates packs, previews and their web presence.
 pub struct PackFactory<'w> {
     catalog: &'w SiteCatalog,
@@ -66,8 +110,9 @@ pub struct PackFactory<'w> {
     pub p_linked: f64,
     /// Remaining hash-list images to plant.
     csam_budget: u32,
-    /// Planted hash-list specs (recorded into ground truth by the caller).
-    pub csam_specs: Vec<ImageSpec>,
+    /// Planted hash-list specs, handed to the caller by
+    /// [`PackFactory::finish`] for the ground truth.
+    csam_specs: Vec<ImageSpec>,
     /// Next fresh model id.
     next_model: u32,
     /// Next hash-list case id.
@@ -83,6 +128,8 @@ pub struct PackFactory<'w> {
     url_counter: u64,
     /// Dataset end (crawl dates must not exceed it).
     end: Day,
+    /// Index rows and hash-list entries hashed by [`PackFactory::finish`].
+    deferred: DeferredHashes,
 }
 
 /// Mean images per pack (111 288 / 1 255 ≈ 89).
@@ -118,12 +165,38 @@ impl<'w> PackFactory<'w> {
             shared_pool: Vec::new(),
             url_counter: 0,
             end: config.dataset_end(),
+            deferred: DeferredHashes::default(),
         }
     }
 
     /// Number of hash-list images still unplanted.
     pub fn csam_remaining(&self) -> u32 {
         self.csam_budget
+    }
+
+    /// Hashes every deferred spec across all cores, appends the reverse
+    /// index rows and hash-list entries in the order they were drawn, and
+    /// returns the planted hash-list specs.
+    pub fn finish(self) -> Vec<ImageSpec> {
+        let DeferredHashes { specs, rows, cases } = self.deferred;
+        let hashes = hash_specs(&specs, 0);
+        for (slot, domain, url, crawled) in rows {
+            self.index.add(IndexedImage {
+                hash: hashes[slot],
+                domain,
+                url,
+                crawled,
+            });
+        }
+        for (slot, case, verifiable, severity) in cases {
+            self.hashlist.add(HashListEntry {
+                hash: hashes[slot],
+                case,
+                verifiable,
+                severity,
+            });
+        }
+        self.csam_specs
     }
 
     fn fresh_url(&mut self, rng: &mut StdRng, kind: SiteKind) -> (textkit::Url, &'static Site) {
@@ -172,7 +245,7 @@ impl<'w> PackFactory<'w> {
             // Crawled only after the forum post (TinEye lag).
             Day((posted.0 + rng.gen_range(10..700)).min(self.end.0))
         };
-        let hash = RobustHash::of(&spec.render());
+        let slot = self.deferred.slot(spec);
         for s in 0..n_sites {
             let domain_idx = self.origins.sample_source(rng) as u32;
             let domain = &self.origins.get(domain_idx as usize).name;
@@ -184,12 +257,9 @@ impl<'w> PackFactory<'w> {
             let crawled = Day(
                 (first_crawled.0 + if s == 0 { 0 } else { rng.gen_range(0..600) }).min(self.end.0),
             );
-            self.index.add(IndexedImage {
-                hash,
-                domain: domain_idx,
-                url: url.clone(),
-                crawled,
-            });
+            self.deferred
+                .rows
+                .push((slot, domain_idx, url.clone(), crawled));
             // Wayback archives a subset of those URLs.
             if rng.gen_bool(0.4) {
                 self.wayback
@@ -287,8 +357,9 @@ impl<'w> PackFactory<'w> {
         (sources, stored)
     }
 
-    /// Plants hash-list images into a pack's stored images, registering
-    /// them with the hash list. Returns the planted specs.
+    /// Plants hash-list images into a pack's stored images, queueing them
+    /// (and their indexed web copies) for the hash list. Returns the
+    /// planted specs.
     fn plant_csam(&mut self, rng: &mut StdRng, stored: &mut Vec<StoredImage>) -> Vec<ImageSpec> {
         if self.csam_budget == 0 {
             return Vec::new();
@@ -314,12 +385,10 @@ impl<'w> PackFactory<'w> {
                 4 => Severity::C,
                 _ => Severity::B,
             });
-            self.hashlist.add(HashListEntry {
-                hash: RobustHash::of(&spec.render()),
-                case: self.next_case,
-                verifiable,
-                severity,
-            });
+            let slot = self.deferred.slot(spec);
+            self.deferred
+                .cases
+                .push((slot, self.next_case, verifiable, severity));
             // The planted copy is shared essentially unmodified (mirroring
             // would evade the list, which the measurement relies on not
             // happening for these counts).
@@ -331,7 +400,6 @@ impl<'w> PackFactory<'w> {
             // copies, which the pipeline reports alongside the download
             // URL. The paper's 61 actioned URLs were dominated by a single
             // victim (60 URLs), so web presence concentrates on case 1.
-            let hash = RobustHash::of(&spec.render());
             let n_copies = if self.next_case == 1 {
                 30 + rng.gen_range(0..12)
             } else {
@@ -340,12 +408,12 @@ impl<'w> PackFactory<'w> {
             for c in 0..n_copies {
                 let domain_idx = self.origins.sample_source(rng) as u32;
                 let domain = &self.origins.get(domain_idx as usize).name;
-                self.index.add(revsearch::IndexedImage {
-                    hash,
-                    domain: domain_idx,
-                    url: format!("https://{domain}/p/c{}-{c}", self.next_case),
-                    crawled: Day(self.end.0.saturating_sub(rng.gen_range(100..1200))),
-                });
+                self.deferred.rows.push((
+                    slot,
+                    domain_idx,
+                    format!("https://{domain}/p/c{}-{c}", self.next_case),
+                    Day(self.end.0.saturating_sub(rng.gen_range(100..1200))),
+                ));
             }
             planted.push(spec);
             self.next_case += 1;
@@ -553,6 +621,7 @@ mod tests {
         assert!(!content.packs.is_empty());
         assert!(content.url_lines.iter().any(|l| l.contains("Download:")));
         assert!(content.url_lines.iter().any(|l| l.contains("Preview:")));
+        factory.finish();
         assert!(!fx.web.is_empty());
         assert!(!fx.index.is_empty());
     }
@@ -606,9 +675,24 @@ mod tests {
             }
         }
         assert_eq!(factory.csam_remaining(), 0);
-        assert_eq!(factory.csam_specs.len(), 4);
+        let planted = factory.finish();
+        assert_eq!(planted.len(), 4);
         assert!(planted_total >= 1);
         assert_eq!(fx.hashlist.len(), 4);
+        // Each entry carries the hash of its planted spec, and every
+        // indexed copy of a planted image shares that hash.
+        for (spec, entry) in planted.iter().zip(fx.hashlist.entries()) {
+            assert_eq!(entry.hash, RobustHash::of(&spec.render()));
+        }
+        for entry in fx.hashlist.entries() {
+            let path = format!("/p/c{}-", entry.case);
+            for i in 0..fx.index.len() as u32 {
+                let copy = fx.index.entry(i);
+                if copy.url.contains(&path) {
+                    assert_eq!(copy.hash, entry.hash, "{}", copy.url);
+                }
+            }
+        }
     }
 
     #[test]
@@ -666,9 +750,30 @@ mod tests {
         for _ in 0..5 {
             factory.make_top_content(&mut rng, Day::from_ymd(2018, 12, 1), false, false);
         }
+        factory.finish();
         for i in 0..fx.index.len() {
             assert!(fx.index.entry(i as u32).crawled <= end);
         }
+    }
+
+    /// The deferred hashing pass equals a serial render-and-hash at any
+    /// worker count, including chunk boundaries that split the input.
+    #[test]
+    fn hash_specs_matches_serial_at_every_worker_count() {
+        let specs: Vec<ImageSpec> = (0..150u64)
+            .map(|v| match v % 3 {
+                0 => ImageSpec::model_photo(ImageClass::ModelNude, v as u32 + 1, v),
+                1 => ImageSpec::of(ImageClass::DirectoryThumbnails, v),
+                _ => ImageSpec::of(ImageClass::Landscape, v),
+            })
+            .collect();
+        let serial: Vec<RobustHash> = specs.iter().map(|s| RobustHash::of(&s.render())).collect();
+        parkit::set_clamp_enabled(false);
+        for workers in [1, 2, 7] {
+            assert_eq!(hash_specs(&specs, workers), serial, "workers={workers}");
+        }
+        parkit::set_clamp_enabled(true);
+        assert!(hash_specs(&[], 2).is_empty());
     }
 
     #[test]

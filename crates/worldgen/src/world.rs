@@ -270,7 +270,7 @@ impl World {
                     );
                 }
             }
-            truth.csam_specs = packs.csam_specs.clone();
+            truth.csam_specs = packs.finish();
         }
 
         let mut web = pack_web;
@@ -514,14 +514,71 @@ mod tests {
         assert_eq!(w.corpus.forum(w.hackforums).name, "Hackforums");
     }
 
+    /// Every reverse-index entry as `(hash, domain, url, crawled)`.
+    fn index_rows(w: &World) -> Vec<(imagesim::RobustHash, u32, String, Day)> {
+        (0..w.index.len() as u32)
+            .map(|i| {
+                let e = w.index.entry(i);
+                (e.hash, e.domain, e.url.clone(), e.crawled)
+            })
+            .collect()
+    }
+
+    /// FNV-1a 64-bit over the reverse index and the hash list, in
+    /// insertion order.
+    fn services_digest(w: &World) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut mix = |bytes: &[u8]| {
+            for &b in bytes {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (h, domain, url, crawled) in index_rows(w) {
+            for word in h.bits {
+                mix(&word.to_le_bytes());
+            }
+            mix(&domain.to_le_bytes());
+            mix(url.as_bytes());
+            mix(&crawled.0.to_le_bytes());
+        }
+        for e in w.hashlist.entries() {
+            for word in e.hash.bits {
+                mix(&word.to_le_bytes());
+            }
+            mix(&e.case.to_le_bytes());
+            mix(&[
+                u8::from(e.verifiable),
+                e.severity.map_or(0, |s| s as u8 + 1),
+            ]);
+        }
+        hash
+    }
+
     #[test]
     fn world_is_deterministic() {
         let a = World::generate(WorldConfig::test_scale(7));
         let b = World::generate(WorldConfig::test_scale(7));
         assert_eq!(a.corpus.posts().len(), b.corpus.posts().len());
         assert_eq!(a.web.len(), b.web.len());
-        assert_eq!(a.index.len(), b.index.len());
+        assert_eq!(index_rows(&a), index_rows(&b));
         assert_eq!(a.truth.packs.len(), b.truth.packs.len());
+    }
+
+    /// Pins the reverse index and hash list of one small world, so a
+    /// change to how the services are filled cannot alter them unseen.
+    #[test]
+    fn services_digest_is_golden() {
+        let w = World::generate(WorldConfig::test_scale(7));
+        assert_eq!(
+            format!(
+                "{:016x}/{}/{}",
+                services_digest(&w),
+                w.index.len(),
+                w.hashlist.len()
+            ),
+            "641f2850faf31db1/6881/8"
+        );
     }
 
     #[test]

@@ -101,6 +101,7 @@ fn main() {
         &packs,
         &authors,
         &previews_nsfv,
+        0,
     );
     println!(
         "reverse search: packs {}/{} matched (ratio {:.1}), previews {}/{} (ratio {:.1})",

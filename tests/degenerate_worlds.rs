@@ -75,6 +75,7 @@ fn pipeline_handles_empty_top_detection() {
         &[],
         &[],
         &[],
+        1,
     );
     assert_eq!(prov.packs.total, 0);
     assert_eq!(prov.distinct_domains, 0);
