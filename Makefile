@@ -11,9 +11,9 @@
 CARGO ?= cargo
 OFFLINE = --offline --locked
 
-.PHONY: verify fmt-check clippy build test bench-build bench bench-gate smoke-bench-gate bench-serve bench-epoch smoke-epoch smoke-resume smoke-serve bench-shard smoke-shard clean-journal
+.PHONY: verify fmt-check clippy build test bench-build bench bench-gate smoke-bench-gate bench-serve bench-epoch smoke-epoch smoke-resume smoke-serve bench-shard smoke-shard smoke-cli clean-journal
 
-verify: fmt-check clippy build test bench-build smoke-resume smoke-serve smoke-bench-gate smoke-epoch smoke-shard
+verify: fmt-check clippy build test bench-build smoke-resume smoke-serve smoke-bench-gate smoke-epoch smoke-shard smoke-cli
 
 fmt-check:
 	$(CARGO) fmt --all -- --check
@@ -172,6 +172,21 @@ smoke-serve: build
 		--snapshot-json .journals/smoke-serve/batch.json > /dev/null 2> /dev/null
 	cmp .journals/smoke-serve/wire.json .journals/smoke-serve/batch.json
 	rm -rf .journals/smoke-serve
+
+# Bad-input smoke test wired into `make verify`: a spec no driver runs
+# (sharded and streamed) must exit 2 with the usage text, and a run
+# whose every record is quarantined must exit nonzero with the stage
+# error rather than a panic.
+smoke-cli: build
+	rm -rf .journals/smoke-cli && mkdir -p .journals/smoke-cli
+	./target/release/report 0.01 1 --shards 2 --epochs 3 \
+		> /dev/null 2> .journals/smoke-cli/sharded-stream.log; test $$? -eq 2
+	grep -q '^usage:' .journals/smoke-cli/sharded-stream.log
+	! ./target/release/report 0.01 1 --corruption 1000 \
+		> /dev/null 2> .journals/smoke-cli/quarantined.log
+	grep -q "quarantined all" .journals/smoke-cli/quarantined.log
+	! grep -q panicked .journals/smoke-cli/quarantined.log
+	rm -rf .journals/smoke-cli
 
 clean-journal:
 	rm -rf .journals

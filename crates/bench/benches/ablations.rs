@@ -13,8 +13,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ewhoring_bench::small_world;
 use ewhoring_core::extract::extract_ewhoring_threads;
+use ewhoring_core::features::ALL_TIME;
 use ewhoring_core::nsfv::{algorithm1_with_thresholds, ImageMeasures};
-use ewhoring_core::topcls::{classify_tops, heuristic_is_top};
+use ewhoring_core::topcls::{classify_tops, heuristic_is_top_at};
 use imagesim::validation::{build_validation_set, ValidationLabel};
 use linsvm::{
     LinearSvm, LogRegConfig, LogisticRegression, NaiveBayes, NaiveBayesConfig, SparseVec, SvmConfig,
@@ -32,14 +33,8 @@ fn bench_ablations(c: &mut Criterion) {
 
     // --- hybrid vs halves ---
     let mut rng = synthrand::rng_from_seed(3);
-    let (classifier, result) = classify_tops(
-        &mut rng,
-        &world.corpus,
-        &world.catalog,
-        &world.truth,
-        &threads,
-        1,
-    );
+    let (model, result) = classify_tops(&mut rng, world, &threads, 1);
+    let model = model.expect("the small world yields an annotation sample");
     PRINT_ONCE.call_once(|| {
         eprintln!(
             "[ablation] hybrid F1 {:.3} | ML F1 {:.3} | heuristic F1 {:.3} | union {} = ml {} + heur {} - both {}",
@@ -56,7 +51,12 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             threads
                 .iter()
-                .filter(|&&t| classifier.ml_is_top(&world.corpus, &world.catalog, t))
+                .filter(|&&t| {
+                    let x = model
+                        .extractor
+                        .features_at(&world.corpus, &world.catalog, t, ALL_TIME);
+                    model.svm.predict(&x)
+                })
                 .count()
         })
     });
@@ -64,7 +64,7 @@ fn bench_ablations(c: &mut Criterion) {
         b.iter(|| {
             threads
                 .iter()
-                .filter(|&&t| heuristic_is_top(&world.corpus, &world.catalog, t))
+                .filter(|&&t| heuristic_is_top_at(&world.corpus, &world.catalog, t, ALL_TIME))
                 .count()
         })
     });

@@ -33,28 +33,14 @@ fn bench_tables(c: &mut Criterion) {
     group.bench_function("table1_topcls_train_eval", |b| {
         b.iter(|| {
             let mut rng = synthrand::rng_from_seed(7);
-            let (_, r) = classify_tops(
-                &mut rng,
-                &world.corpus,
-                &world.catalog,
-                &world.truth,
-                &threads,
-                1,
-            );
+            let (_, r) = classify_tops(&mut rng, world, &threads, 1);
             black_box(r.detected.len())
         })
     });
 
     // Tables 3/4: snowball + link extraction + crawl.
     let mut rng = synthrand::rng_from_seed(7);
-    let (_, tops) = classify_tops(
-        &mut rng,
-        &world.corpus,
-        &world.catalog,
-        &world.truth,
-        &threads,
-        1,
-    );
+    let (_, tops) = classify_tops(&mut rng, world, &threads, 1);
     group.bench_function("tables3_4_crawl", |b| {
         b.iter(|| {
             let r = crawl_tops(&world.corpus, &world.catalog, &world.web, &tops.detected);

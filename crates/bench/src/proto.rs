@@ -138,15 +138,12 @@ fn narrow_field<T: TryFrom<u64>>(map: &serde::Map, name: &str, default: u64) -> 
 }
 
 /// Decodes a run spec from a `run` request; every field is optional and
-/// defaults match the batch CLI's defaults.
+/// defaults match the batch CLI's defaults. A spec that fails
+/// [`RunSpec::validate`] is rejected here, before it reaches a worker.
 fn decode_spec(map: &serde::Map) -> Result<RunSpec, String> {
     let defaults = RunSpec::default();
-    let scale = f64_field(map, "scale", defaults.scale)?;
-    if !(scale.is_finite() && scale > 0.0) {
-        return Err(format!("field `scale` must be finite and > 0, got {scale}"));
-    }
-    Ok(RunSpec {
-        scale,
+    let spec = RunSpec {
+        scale: f64_field(map, "scale", defaults.scale)?,
         seed: u64_field(map, "seed", defaults.seed)?,
         workers: narrow_field(map, "workers", defaults.workers as u64)?,
         faults: f64_field(map, "faults", defaults.faults)?,
@@ -154,7 +151,9 @@ fn decode_spec(map: &serde::Map) -> Result<RunSpec, String> {
         epochs: narrow_field(map, "epochs", defaults.epochs.into())?,
         upto: narrow_field(map, "upto", defaults.upto.into())?,
         shards: narrow_field(map, "shards", defaults.shards as u64)?,
-    })
+    };
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
 }
 
 /// A parsed response line, with typed accessors over the raw tree.
@@ -226,7 +225,7 @@ mod tests {
 
     #[test]
     fn run_request_round_trips_with_all_knobs() {
-        let spec = RunSpec {
+        let streamed = RunSpec {
             scale: 0.02,
             seed: 0xDEAD_BEEF,
             workers: 2,
@@ -234,10 +233,28 @@ mod tests {
             corruption: 0.25,
             epochs: 4,
             upto: 3,
-            shards: 2,
+            shards: 0,
         };
-        let line = Request::Run(spec).encode();
-        assert_eq!(Request::decode(&line), Ok(Request::Run(spec)));
+        // Sharding is batch-only, so it round-trips on a batch spec.
+        let sharded = RunSpec {
+            epochs: 0,
+            upto: 0,
+            shards: 2,
+            ..streamed
+        };
+        for spec in [streamed, sharded] {
+            let line = Request::Run(spec).encode();
+            assert_eq!(Request::decode(&line), Ok(Request::Run(spec)));
+        }
+    }
+
+    #[test]
+    fn specs_no_driver_runs_are_rejected_at_decode() {
+        let err =
+            Request::decode(r#"{"cmd":"run","scale":0.01,"epochs":3,"shards":2}"#).unwrap_err();
+        assert!(err.contains("batch-only"), "{err}");
+        let err = Request::decode(r#"{"cmd":"advance","epochs":3,"upto":4}"#).unwrap_err();
+        assert!(err.contains("`upto` 4 exceeds `epochs` 3"), "{err}");
     }
 
     #[test]

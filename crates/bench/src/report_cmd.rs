@@ -108,7 +108,9 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
             // `advance` snapshots.
             let held = world.take().expect("world generated above");
             world = Some(stream_world(held, stream));
-            Pipeline::new(options).run(world.as_ref().expect("stored above"))
+            Pipeline::new(options)
+                .try_run(world.as_ref().expect("stored above"))
+                .map_err(|e| format!("pipeline run: {e}"))?
         }
     } else if let Some(dir) = &args.journal_dir {
         let world = world.as_ref().expect("world generated above");
@@ -151,7 +153,9 @@ pub fn main(args: &ReportArgs) -> Result<(), String> {
         pipe.run_resumable(world, dir)
             .map_err(|e| format!("resumable run: {e}"))?
     } else {
-        Pipeline::new(options).run(world.as_ref().expect("world generated above"))
+        Pipeline::new(options)
+            .try_run(world.as_ref().expect("world generated above"))
+            .map_err(|e| format!("pipeline run: {e}"))?
     };
     // The incremental path moved the world into the engine; every later
     // use borrows it back from whichever place owns it.

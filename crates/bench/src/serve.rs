@@ -204,9 +204,6 @@ impl Server {
         if spec.epochs == 0 {
             return Response::error("advance needs `epochs` > 0 (a streamed spec)");
         }
-        if spec.upto > spec.epochs {
-            return Response::error(format!("upto {} exceeds epochs {}", spec.upto, spec.epochs));
-        }
         // All `upto` values of one streamed run share one engine; key
         // by the full-run spec so clients need not agree on `upto`.
         let engine_spec = RunSpec { upto: 0, ..*spec };

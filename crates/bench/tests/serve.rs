@@ -286,3 +286,29 @@ fn concurrent_identical_wire_requests_collapse_to_one_execution() {
     Wire::connect(&addr).call(&Request::Shutdown);
     handle.join().expect("server thread exits");
 }
+
+/// A decodable spec no driver can run (sharded and streamed) is
+/// rejected with an error response instead of panicking a pool worker:
+/// after two of them, a pool-2 server still answers `status`.
+#[test]
+fn invalid_specs_do_not_wedge_the_worker_pool() {
+    let (_server, handle, addr) = start_server(2);
+    for _ in 0..2 {
+        let mut wire = Wire::connect(&addr);
+        let response = wire.send_line(r#"{"cmd":"run","scale":0.01,"epochs":3,"shards":2}"#);
+        assert!(!response.is_ok());
+        let error = response.error_text().unwrap_or_default();
+        assert!(error.contains("batch-only"), "{error}");
+    }
+    let mut wire = Wire::connect(&addr);
+    // A wedged pool would never answer; fail instead of hanging.
+    wire.writer
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("set read timeout");
+    let status = wire.call(&Request::Status("no-such-key".into()));
+    assert!(status.is_ok(), "{:?}", status.error_text());
+    assert_eq!(status.str_field("status"), Some("unknown"));
+
+    wire.call(&Request::Shutdown);
+    handle.join().expect("server thread exits");
+}

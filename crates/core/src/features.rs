@@ -47,40 +47,6 @@ pub struct ThreadStats {
     pub top_kw: f64,
 }
 
-/// Extracts the statistical block for one thread.
-pub fn thread_stats(corpus: &Corpus, catalog: &SiteCatalog, thread: ThreadId) -> ThreadStats {
-    let t = corpus.thread(thread);
-    let first = corpus.first_post(thread);
-    let body = first.map_or("", |p| p.body.as_str());
-
-    let mut cloud = 0.0;
-    let mut image = 0.0;
-    let mut other = 0.0;
-    for url in extract_urls(body) {
-        match catalog.lookup(&url.domain()) {
-            Some(site) if site.kind == websim::SiteKind::CloudStorage => cloud += 1.0,
-            Some(_) => image += 1.0,
-            None => other += 1.0,
-        }
-    }
-
-    let request = Lexicon::request();
-    let tutorial = Lexicon::tutorial();
-    let top = Lexicon::top();
-
-    ThreadStats {
-        replies: corpus.reply_count(thread) as f64,
-        cloud_links: cloud,
-        image_links: image,
-        thread_links: other,
-        first_post_len: body.len() as f64,
-        question_marks: count_char(&t.heading, '?') as f64,
-        request_kw: request.count_matches(&t.heading) as f64,
-        tutorial_kw: tutorial.count_matches(&t.heading) as f64,
-        top_kw: top.count_matches(&t.heading) as f64,
-    }
-}
-
 impl ThreadStats {
     /// Compresses counts into a bounded sparse block (log scaling keeps the
     /// SVM's feature magnitudes comparable with the unit-norm TF-IDF rows).
@@ -106,8 +72,15 @@ impl ThreadStats {
     }
 }
 
-/// [`thread_stats`] as of the end of day `cutoff`: replies and
-/// first-post fields only count posts dated on or before the cutoff.
+/// A cutoff no post date can exceed. Windowing to it hides nothing, so
+/// the `_at` functions evaluated here see every post; a batch run
+/// classifies at this cutoff. (Not the dataset end: a batch corpus also
+/// holds posts dated after the measurement window.)
+pub const ALL_TIME: Day = Day(u32::MAX);
+
+/// The statistical block of one thread as of the end of day `cutoff`:
+/// replies and first-post fields only count posts dated on or before
+/// the cutoff.
 /// Posts are chronological within a thread, so the visible prefix is a
 /// `partition_point` — and because a thread's earlier posts never change,
 /// the result is identical whether computed on the corpus as of `cutoff`
@@ -156,19 +129,9 @@ pub fn thread_stats_at(
     }
 }
 
-/// The tokenised text of a thread: heading plus first-post body (the
-/// classifier "parses thread headings and posts").
-pub fn thread_tokens(corpus: &Corpus, thread: ThreadId) -> Vec<String> {
-    let t = corpus.thread(thread);
-    let mut tokens = tokenize_with_stopwords(&t.heading);
-    if let Some(p) = corpus.first_post(thread) {
-        tokens.extend(tokenize_with_stopwords(&p.body));
-    }
-    tokens
-}
-
-/// [`thread_tokens`] as of the end of day `cutoff`: the first-post body
-/// only contributes if the first post exists by then.
+/// The tokenised text of a thread as of the end of day `cutoff`: heading
+/// plus first-post body (the classifier "parses thread headings and
+/// posts"); the body only contributes if the first post exists by then.
 pub fn thread_tokens_at(corpus: &Corpus, thread: ThreadId, cutoff: Day) -> Vec<String> {
     let t = corpus.thread(thread);
     let mut tokens = tokenize_with_stopwords(&t.heading);
@@ -190,22 +153,13 @@ pub struct FeatureExtractor {
 }
 
 impl FeatureExtractor {
-    /// Fits vocabulary and IDF on the training threads. Tokenisation, the
-    /// document-term matrix, and the IDF fit all run across `workers`
-    /// threads (0 = all cores) with output identical to a serial fit.
-    pub fn fit(corpus: &Corpus, train: &[ThreadId], workers: usize) -> FeatureExtractor {
-        let docs: Vec<Vec<String>> =
-            crate::par::par_map(train, workers, |&t| thread_tokens(corpus, t));
-        Self::fit_from_docs(&docs, workers)
-    }
-
     /// Fits vocabulary and IDF on pre-tokenised documents, one per
     /// training thread **in training order**. This is the merge seam for
     /// sharded runs: shard workers tokenise their contiguous span of the
     /// training set, the coordinator concatenates the per-shard document
     /// lists in shard order (= training order), and this fit — vocabulary
     /// union, document-term matrix, IDF — is then byte-identical to a
-    /// single-process [`FeatureExtractor::fit`] over the same threads.
+    /// single-process [`FeatureExtractor::fit_at`] over the same threads.
     pub fn fit_from_docs(docs: &[Vec<String>], workers: usize) -> FeatureExtractor {
         let vocab = Vocabulary::build(docs.iter().map(|d| d.iter()), 2);
         let dtm = textkit::dtm::DocTermMatrix::from_docs_par(&vocab, docs, workers);
@@ -213,14 +167,12 @@ impl FeatureExtractor {
         FeatureExtractor { vocab, tfidf }
     }
 
-    /// [`FeatureExtractor::fit`] as of the end of day `cutoff`: the
-    /// vocabulary and IDF only see post text dated on or before the
-    /// cutoff. The epoch pipeline bootstraps its frozen extractor with
-    /// this — on the epoch-1 corpus it equals a plain [`fit`], and on
-    /// any later corpus it replays the epoch-1 fit bit-exactly (the
-    /// `_at` inputs are prefix-stable).
-    ///
-    /// [`fit`]: FeatureExtractor::fit
+    /// Fits vocabulary and IDF on the training threads' text as of the
+    /// end of day `cutoff`. Tokenisation, the document-term matrix and the
+    /// IDF fit all run across `workers` threads (0 = all cores) with
+    /// output identical to a serial fit. The epoch pipeline bootstraps
+    /// its frozen extractor with this; on any later corpus it replays the
+    /// fit bit-exactly (the `_at` inputs are prefix-stable).
     pub fn fit_at(
         corpus: &Corpus,
         train: &[ThreadId],
@@ -229,25 +181,14 @@ impl FeatureExtractor {
     ) -> FeatureExtractor {
         let docs: Vec<Vec<String>> =
             crate::par::par_map(train, workers, |&t| thread_tokens_at(corpus, t, cutoff));
-        let vocab = Vocabulary::build(docs.iter().map(|d| d.iter()), 2);
-        let dtm = textkit::dtm::DocTermMatrix::from_docs_par(&vocab, &docs, workers);
-        let tfidf = TfIdf::fit_par(&dtm, workers);
-        FeatureExtractor { vocab, tfidf }
+        Self::fit_from_docs(&docs, workers)
     }
 
-    /// Full feature vector of one thread: statistical block + TF-IDF block.
-    pub fn features(&self, corpus: &Corpus, catalog: &SiteCatalog, thread: ThreadId) -> SparseVec {
-        let stats = thread_stats(corpus, catalog, thread).to_sparse();
-        let counts = self.vocab.count(&thread_tokens(corpus, thread));
-        let tfidf_row = self.tfidf.transform_row(&counts);
-        let text = SparseVec::from_sorted(tfidf_row);
-        stats.concat(&text, STAT_DIM)
-    }
-
-    /// [`FeatureExtractor::features`] as of the end of day `cutoff` —
-    /// the first-sight feature vector the epoch pipeline classifies new
-    /// threads with. Pure in `(thread's visible prefix, cutoff)`, so a
-    /// later corpus replays it bit-exactly.
+    /// Full feature vector of one thread as of the end of day `cutoff`:
+    /// statistical block + TF-IDF block. This is the first-sight vector
+    /// the epoch pipeline classifies new threads with. Pure in
+    /// `(thread's visible prefix, cutoff)`, so a later corpus replays it
+    /// bit-exactly.
     pub fn features_at(
         &self,
         corpus: &Corpus,
@@ -260,23 +201,6 @@ impl FeatureExtractor {
         let tfidf_row = self.tfidf.transform_row(&counts);
         let text = SparseVec::from_sorted(tfidf_row);
         stats.concat(&text, STAT_DIM)
-    }
-
-    /// Feature vectors for many threads across `workers` threads
-    /// (0 = all cores), in input order.
-    pub fn features_many(
-        &self,
-        corpus: &Corpus,
-        catalog: &SiteCatalog,
-        threads: &[ThreadId],
-        workers: usize,
-    ) -> Vec<SparseVec> {
-        crate::par::par_map(threads, workers, |&t| self.features(corpus, catalog, t))
-    }
-
-    /// Vocabulary size (diagnostics).
-    pub fn vocab_len(&self) -> usize {
-        self.vocab.len()
     }
 }
 
@@ -314,7 +238,7 @@ mod tests {
         let c = corpus();
         let catalog = SiteCatalog::new();
         let top = c.threads()[0].id;
-        let s = thread_stats(&c, &catalog, top);
+        let s = thread_stats_at(&c, &catalog, top, ALL_TIME);
         assert_eq!(s.replies, 2.0);
         assert_eq!(s.cloud_links, 1.0);
         assert_eq!(s.image_links, 2.0);
@@ -327,7 +251,7 @@ mod tests {
         let c = corpus();
         let catalog = SiteCatalog::new();
         let req = c.threads()[1].id;
-        let s = thread_stats(&c, &catalog, req);
+        let s = thread_stats_at(&c, &catalog, req, ALL_TIME);
         assert_eq!(s.question_marks, 2.0);
         assert!(s.request_kw >= 1.0, "looking for: {}", s.request_kw);
         assert_eq!(s.cloud_links, 0.0);
@@ -337,7 +261,7 @@ mod tests {
     fn sparse_encoding_respects_stat_dim() {
         let c = corpus();
         let catalog = SiteCatalog::new();
-        let s = thread_stats(&c, &catalog, c.threads()[0].id).to_sparse();
+        let s = thread_stats_at(&c, &catalog, c.threads()[0].id, ALL_TIME).to_sparse();
         assert!(s.dim_hint() <= STAT_DIM);
         assert!(s.nnz() > 0);
     }
@@ -347,16 +271,16 @@ mod tests {
         let c = corpus();
         let catalog = SiteCatalog::new();
         let all: Vec<ThreadId> = c.threads().iter().map(|t| t.id).collect();
-        let ex = FeatureExtractor::fit(&c, &all, 1);
-        let fv = ex.features(&c, &catalog, all[0]);
+        let ex = FeatureExtractor::fit_at(&c, &all, ALL_TIME, 1);
+        let fv = ex.features_at(&c, &catalog, all[0], ALL_TIME);
         // Statistical entries live below STAT_DIM; text entries above.
         assert!(fv.entries().iter().any(|&(i, _)| i < STAT_DIM));
         assert!(fv.entries().iter().any(|&(i, _)| i >= STAT_DIM));
     }
 
-    /// Cutoff semantics: with the cutoff past every post the `_at`
-    /// variants equal the plain ones; before the first post only the
-    /// heading contributes; in between, replies are truncated.
+    /// Cutoff semantics: any cutoff past every post windows nothing (it
+    /// equals [`ALL_TIME`]); before the first post only the heading
+    /// contributes.
     #[test]
     fn cutoff_variants_window_the_thread() {
         let c = corpus();
@@ -365,9 +289,12 @@ mod tests {
         let late = Day::from_ymd(2020, 1, 1);
         assert_eq!(
             thread_stats_at(&c, &catalog, top, late),
-            thread_stats(&c, &catalog, top)
+            thread_stats_at(&c, &catalog, top, ALL_TIME)
         );
-        assert_eq!(thread_tokens_at(&c, top, late), thread_tokens(&c, top),);
+        assert_eq!(
+            thread_tokens_at(&c, top, late),
+            thread_tokens_at(&c, top, ALL_TIME)
+        );
 
         let early = Day::from_ymd(2013, 12, 31);
         let s = thread_stats_at(&c, &catalog, top, early);
@@ -380,10 +307,10 @@ mod tests {
             tokenize_with_stopwords(&c.thread(top).heading)
         );
 
-        let ex = FeatureExtractor::fit(&c, &[top], 1);
+        let ex = FeatureExtractor::fit_at(&c, &[top], ALL_TIME, 1);
         assert_eq!(
             ex.features_at(&c, &catalog, top, late).entries(),
-            ex.features(&c, &catalog, top).entries()
+            ex.features_at(&c, &catalog, top, ALL_TIME).entries()
         );
     }
 
@@ -392,8 +319,8 @@ mod tests {
         let c = corpus();
         let catalog = SiteCatalog::new();
         // Fit on the request thread only; TOP thread's vocabulary is OOV.
-        let ex = FeatureExtractor::fit(&c, &[c.threads()[1].id], 1);
-        let fv = ex.features(&c, &catalog, c.threads()[0].id);
+        let ex = FeatureExtractor::fit_at(&c, &[c.threads()[1].id], ALL_TIME, 1);
+        let fv = ex.features_at(&c, &catalog, c.threads()[0].id, ALL_TIME);
         // Still has statistical features even if no text features survive.
         assert!(fv.entries().iter().any(|&(i, _)| i < STAT_DIM));
     }

@@ -79,7 +79,72 @@ impl Default for RunSpec {
     }
 }
 
+/// Why a [`RunSpec`] names no run any driver can execute. Rejected once,
+/// by [`RunSpec::validate`], wherever a spec enters the system: the CLI
+/// parser, the wire codec and [`RunCache::get_or_compute`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SpecError {
+    /// `scale` is not a finite number above zero.
+    Scale(f64),
+    /// A severity knob (`faults` or `corruption`) is not a finite
+    /// number at or above zero.
+    Severity(&'static str, f64),
+    /// `upto` names an epoch past `epochs` (any epoch of a batch spec,
+    /// which has `epochs: 0`).
+    UptoPastEpochs {
+        /// The requested epoch.
+        upto: u32,
+        /// The spec's epoch count.
+        epochs: u32,
+    },
+    /// `shards` combined with `epochs`: the shard driver is batch-only
+    /// and the epoch engine has its own incremental driver.
+    ShardedStream,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::Scale(scale) => write!(f, "`scale` must be finite and > 0, got {scale}"),
+            SpecError::Severity(knob, value) => {
+                write!(f, "`{knob}` must be finite and >= 0, got {value}")
+            }
+            SpecError::UptoPastEpochs { upto, epochs } => {
+                write!(f, "`upto` {upto} exceeds `epochs` {epochs}")
+            }
+            SpecError::ShardedStream => write!(
+                f,
+                "sharding is batch-only: `shards` cannot be combined with `epochs`"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
+
 impl RunSpec {
+    /// Checks that the spec names a run some driver can execute.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        if !(self.scale.is_finite() && self.scale > 0.0) {
+            return Err(SpecError::Scale(self.scale));
+        }
+        for (knob, value) in [("faults", self.faults), ("corruption", self.corruption)] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(SpecError::Severity(knob, value));
+            }
+        }
+        if self.upto > self.epochs {
+            return Err(SpecError::UptoPastEpochs {
+                upto: self.upto,
+                epochs: self.epochs,
+            });
+        }
+        if self.shards > 0 && self.epochs > 0 {
+            return Err(SpecError::ShardedStream);
+        }
+        Ok(())
+    }
+
     /// The world this spec measures. Domain and planted-image counts
     /// follow the batch CLI's long-standing scale formulas.
     pub fn world_config(&self) -> WorldConfig {
@@ -259,7 +324,9 @@ impl RunCache {
     /// a single winner generates the world and runs the pipeline
     /// (journal-resumable when the cache has a journal root). Exactly
     /// one returned [`CachedRun`] per computation has `fresh == true`.
+    /// An invalid spec is rejected before it claims a slot.
     pub fn get_or_compute(&self, spec: &RunSpec) -> Result<CachedRun, StageError> {
+        spec.validate().map_err(StageError::InvalidSpec)?;
         let run_key = spec.run_key()?;
         let slot = {
             let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
@@ -294,8 +361,8 @@ impl RunCache {
             // only; sharded runs always compute through the supervised
             // driver (their snapshot is identical either way).
             (Some(root), None) if options.shards == 0 => pipeline.run_resumable(&world, root)?,
-            (_, Some(stream)) => pipeline.run(&super::epoch::stream_world(world, stream)),
-            _ => pipeline.run(&world),
+            (_, Some(stream)) => pipeline.try_run(&super::epoch::stream_world(world, stream))?,
+            _ => pipeline.try_run(&world)?,
         };
         Ok(Arc::new(report))
     }
@@ -395,6 +462,69 @@ mod tests {
             .run_key()
             .unwrap()
         );
+    }
+
+    #[test]
+    fn validate_rejects_specs_no_driver_runs() {
+        assert_eq!(tiny(1).validate(), Ok(()));
+        for scale in [0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                RunSpec { scale, ..tiny(1) }.validate(),
+                Err(SpecError::Scale(scale))
+            );
+        }
+        assert!(matches!(
+            RunSpec {
+                scale: f64::NAN,
+                ..tiny(1)
+            }
+            .validate(),
+            Err(SpecError::Scale(_))
+        ));
+        assert_eq!(
+            RunSpec {
+                faults: -1.0,
+                ..tiny(1)
+            }
+            .validate(),
+            Err(SpecError::Severity("faults", -1.0))
+        );
+        assert!(matches!(
+            RunSpec {
+                corruption: f64::NAN,
+                ..tiny(1)
+            }
+            .validate(),
+            Err(SpecError::Severity("corruption", _))
+        ));
+        assert_eq!(
+            RunSpec { upto: 2, ..tiny(1) }.validate(),
+            Err(SpecError::UptoPastEpochs { upto: 2, epochs: 0 })
+        );
+        assert_eq!(
+            RunSpec {
+                epochs: 3,
+                upto: 4,
+                ..tiny(1)
+            }
+            .validate(),
+            Err(SpecError::UptoPastEpochs { upto: 4, epochs: 3 })
+        );
+        assert_eq!(
+            RunSpec {
+                epochs: 3,
+                shards: 2,
+                ..tiny(1)
+            }
+            .validate(),
+            Err(SpecError::ShardedStream)
+        );
+        let streamed = RunSpec {
+            epochs: 4,
+            upto: 2,
+            ..tiny(1)
+        };
+        assert_eq!(streamed.validate(), Ok(()));
     }
 
     #[test]

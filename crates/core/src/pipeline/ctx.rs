@@ -59,6 +59,8 @@ pub enum StageError {
         /// How many records it quarantined.
         records: usize,
     },
+    /// The run's spec names a combination no driver executes.
+    InvalidSpec(super::cache::SpecError),
 }
 
 impl StageError {
@@ -107,6 +109,7 @@ impl PartialEq for StageError {
                     records: rb,
                 },
             ) => sa == sb && ra == rb,
+            (StageError::InvalidSpec(a), StageError::InvalidSpec(b)) => a == b,
             _ => false,
         }
     }
@@ -135,6 +138,7 @@ impl fmt::Display for StageError {
                     "stage `{stage}` quarantined all {records} of its records: nothing left to measure"
                 )
             }
+            StageError::InvalidSpec(e) => write!(f, "invalid run spec: {e}"),
         }
     }
 }

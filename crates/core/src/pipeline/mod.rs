@@ -46,7 +46,7 @@ pub mod journal;
 pub mod shard;
 pub mod stages;
 
-pub use cache::{snapshot_json, CachedRun, RunCache, RunSpec, RunStatus};
+pub use cache::{snapshot_json, CachedRun, RunCache, RunSpec, RunStatus, SpecError};
 pub use corruption::{CorruptionPlan, QuarantineEntry, QuarantineLedger, RecordErrorKind};
 pub use ctx::{
     apply_deletions, ImageRef, ImageSource, KeptImages, MeasuredImages, StageCtx, StageError,
@@ -335,25 +335,32 @@ impl Pipeline {
         stages::full_graph()
     }
 
-    /// Runs every stage against `world` and assembles the report.
+    /// Runs every stage against `world` and assembles the report,
+    /// panicking where [`Pipeline::try_run`] would return an error.
+    pub fn run(&self, world: &World) -> PipelineReport {
+        self.try_run(world)
+            .expect("the full stage graph produces every artifact")
+    }
+
+    /// Runs every stage against `world` and assembles the report, or
+    /// returns the first stage error (for instance a stage that
+    /// quarantined every record it was given).
     ///
     /// With `options.shards > 0` the run executes through the
     /// supervised shard driver ([`shard::run_sharded`]): the corpus
     /// scans fan out per-forum across panic-isolated shard workers and
     /// a merge coordinator folds the partials — byte-identical to the
-    /// unsharded run at every shard count.
-    pub fn run(&self, world: &World) -> PipelineReport {
+    /// unsharded run at every shard count. Sharding is batch-only, so
+    /// combining it with `options.stream` is an error.
+    pub fn try_run(&self, world: &World) -> Result<PipelineReport, StageError> {
         if self.options.shards > 0 {
-            assert!(
-                self.options.stream.is_none(),
-                "sharded execution is batch-only; epoch streaming has its own driver"
-            );
-            return shard::run_sharded(self.options, world)
-                .expect("the sharded driver produces every artifact");
+            if self.options.stream.is_some() {
+                return Err(StageError::InvalidSpec(cache::SpecError::ShardedStream));
+            }
+            return shard::run_sharded(self.options, world);
         }
         self.run_prefix(world, usize::MAX)
             .and_then(StageCtx::into_report)
-            .expect("the full stage graph produces every artifact")
     }
 
     /// Runs the first `n` stages of the graph (all of them if `n`
@@ -374,6 +381,7 @@ impl Pipeline {
     /// [`EpochCarry::default`] is the *fresh-carry* run — a full
     /// recompute through the identical stream code path — which is what
     /// the epoch-equivalence gate compares warm advances against.
+    /// Sharded options are rejected with [`StageError::InvalidSpec`].
     pub fn run_with_carry(
         &self,
         world: &World,
@@ -383,10 +391,9 @@ impl Pipeline {
             self.options.stream.is_some(),
             "run_with_carry requires PipelineOptions::stream"
         );
-        assert!(
-            self.options.shards == 0,
-            "sharded execution is batch-only; epoch streaming has its own driver"
-        );
+        if self.options.shards > 0 {
+            return Err(StageError::InvalidSpec(cache::SpecError::ShardedStream));
+        }
         let mut ctx = StageCtx::new(world, self.options);
         ctx.carry = Some(carry);
         for stage in Self::stages() {

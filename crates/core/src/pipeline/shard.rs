@@ -40,14 +40,14 @@
 use super::corruption::RecordErrorKind;
 use super::ctx::StageCtx;
 use super::stages::extract::quarantine_corrupt_threads;
-use super::stages::topcls::forum_rows;
+use super::stages::topcls::{forum_rows, quarantine_nonfinite_features};
 use super::{
     Pipeline, PipelineOptions, PipelineReport, StageError, StageHealth, StageStatus, StageTiming,
     TimingSource,
 };
 use crate::actors::ActorFold;
 use crate::extract::{extract_ewhoring_threads_in, EwhoringSet};
-use crate::features::{thread_tokens, FeatureExtractor};
+use crate::features::{thread_tokens_at, FeatureExtractor, ALL_TIME};
 use crate::pipeline::corruption::CorruptionPlan;
 use crate::topcls::classify_tops_with_fit;
 use crimebb::{Thread, ThreadId};
@@ -348,7 +348,7 @@ fn poison_check(poison: Option<ShardPoison>, shard: usize, attempt: u32) -> Resu
     Ok(())
 }
 
-/// The sharded pipeline driver (invoked by [`Pipeline::run`] when
+/// The sharded pipeline driver (invoked by [`Pipeline::try_run`] when
 /// `options.shards > 0`): supervised per-forum survey round, merge
 /// coordinator, supervised training-tokenisation round inside the TOP
 /// classifier, then the coordinator-side tail of the stage graph.
@@ -433,30 +433,8 @@ pub(super) fn run_sharded(
     // ---- TOP classifier (coordinator, with a supervised tokenise
     // round inside the feature fit) ----
     let t = Instant::now();
-    let all_threads = ctx.all_threads.clone().expect("survey round just ran");
-    // NaN-feature partition, exactly as the batch stage's serial
-    // section (inert at severity 0).
-    let classify_input: Vec<ThreadId> = if plan.is_enabled() {
-        let mut kept = Vec::with_capacity(all_threads.len());
-        let mut noisy = Vec::new();
-        for &th in &all_threads {
-            if plan.feature_noise(th).is_finite() {
-                kept.push(th);
-            } else {
-                noisy.push(th);
-            }
-        }
-        for th in noisy {
-            ctx.ledger.record(
-                "top_classifier",
-                format!("thread/{}", th.0),
-                RecordErrorKind::NonFiniteFeature,
-            );
-        }
-        kept
-    } else {
-        all_threads
-    };
+    let mut classify_input = ctx.all_threads.clone().expect("survey round just ran");
+    quarantine_nonfinite_features(&mut classify_input, &plan, &mut ctx.ledger);
     let workers = options.workers;
     let mut tokenize_stats = RoundStats::default();
     let fit = |train: &[ThreadId]| -> FeatureExtractor {
@@ -469,7 +447,7 @@ pub(super) fn run_sharded(
             Ok::<_, String>(
                 train[spans[s].clone()]
                     .iter()
-                    .map(|&th| thread_tokens(corpus, th))
+                    .map(|&th| thread_tokens_at(corpus, th, ALL_TIME))
                     .collect::<Vec<_>>(),
             )
         });
@@ -484,21 +462,14 @@ pub(super) fn run_sharded(
                 RoundOutcome::Quarantined { .. } => docs.extend(
                     train[spans[s].clone()]
                         .iter()
-                        .map(|&th| thread_tokens(corpus, th)),
+                        .map(|&th| thread_tokens_at(corpus, th, ALL_TIME)),
                 ),
             }
         }
         FeatureExtractor::fit_from_docs(&docs, workers)
     };
-    let (_classifier, topcls) = classify_tops_with_fit(
-        &mut ctx.rng,
-        corpus,
-        &world.catalog,
-        &world.truth,
-        &classify_input,
-        workers,
-        fit,
-    );
+    let (_model, topcls) =
+        classify_tops_with_fit(&mut ctx.rng, world, &classify_input, workers, fit);
     ctx.supervision.absorb(tokenize_stats);
     let forums = forum_rows(
         corpus,

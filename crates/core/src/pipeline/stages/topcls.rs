@@ -3,15 +3,16 @@
 //! Threads whose feature inputs come back non-finite (a corrupt numeric
 //! column upstream — injected by the run's corruption plan) are
 //! quarantined before training/classification rather than letting NaN
-//! poison the SVM's weight updates. The quarantine check happens in
-//! this serial section, so the outcome is worker-independent.
+//! poison the SVM's weight updates (`quarantine_nonfinite_features`,
+//! shared with the sharded driver). The check runs serially, so the
+//! outcome is worker-independent.
 
 use crate::extract::EwhoringSet;
-use crate::features::thread_tokens_at;
-use crate::pipeline::corruption::RecordErrorKind;
+use crate::features::{thread_tokens_at, FeatureExtractor};
+use crate::pipeline::corruption::{CorruptionPlan, QuarantineLedger, RecordErrorKind};
 use crate::pipeline::ctx::require;
 use crate::pipeline::{ForumRow, Stage, StageCtx, StageError};
-use crate::topcls::{bootstrap_at, classify_tops, TopClassification};
+use crate::topcls::{bootstrap_at, classify_tops, decide_at, TopClassification};
 use crimebb::{Corpus, ThreadId};
 use std::collections::{HashMap, HashSet};
 use worldgen::epoch_bound;
@@ -26,34 +27,8 @@ impl Stage for TopClassifierStage {
 
     fn run(&self, ctx: &mut StageCtx<'_>) -> Result<(), StageError> {
         let world = ctx.world;
-        let plan = ctx.corruption;
-        let all_threads = require(&ctx.all_threads, "all_threads")?;
-        // Partition out threads with NaN-producing feature inputs; the
-        // classifier only ever sees finite vectors. Inert at severity 0
-        // (`clean` is then the untouched artifact list).
-        let clean: Vec<ThreadId>;
-        let classify_input: &[ThreadId] = if plan.is_enabled() {
-            let mut kept = Vec::with_capacity(all_threads.len());
-            let mut noisy = Vec::new();
-            for &t in all_threads {
-                if plan.feature_noise(t).is_finite() {
-                    kept.push(t);
-                } else {
-                    noisy.push(t);
-                }
-            }
-            clean = kept;
-            for t in noisy {
-                ctx.ledger.record(
-                    "top_classifier",
-                    format!("thread/{}", t.0),
-                    RecordErrorKind::NonFiniteFeature,
-                );
-            }
-            &clean
-        } else {
-            all_threads
-        };
+        let mut classify_input = require(&ctx.all_threads, "all_threads")?.clone();
+        quarantine_nonfinite_features(&mut classify_input, &ctx.corruption, &mut ctx.ledger);
         let topcls = if let Some(spec) = ctx.options.stream {
             // Streaming fork: decisions are made once, at each thread's
             // first-sight epoch boundary, against the bootstrap-frozen
@@ -67,54 +42,40 @@ impl Stage for TopClassifierStage {
                 .topcls;
             let workers = ctx.options.workers;
             // Bucket this advance's undecided threads by first-sight
-            // epoch in ONE pass: thread creation days are prefix-stable
+            // epoch in one pass: thread creation days are prefix-stable
             // under the calendar window, so a thread's epoch never
-            // changes once assigned. This replaces the former per-epoch
-            // full scans (each of which re-evaluated `epoch_bound`
-            // inside the filter closure, per thread) — the epoch bounds
-            // are now hoisted into one small ascending table. Buckets
-            // preserve extraction order, so each sublist is identical
-            // whether computed on the epoch-`j` world (warm) or the
-            // epoch-`upto` one (fresh).
+            // changes once assigned. Buckets preserve extraction order,
+            // so each sublist is identical whether computed on the
+            // epoch-`j` world (warm) or the epoch-`upto` one (fresh).
             let prev_bound = epoch_bound(&world.config, spec.epochs, carry.epoch);
             let bounds: Vec<_> = (carry.epoch + 1..=spec.upto)
                 .map(|j| epoch_bound(&world.config, spec.epochs, j))
                 .collect();
             let mut buckets: Vec<Vec<ThreadId>> = vec![Vec::new(); bounds.len()];
-            for &t in classify_input {
+            for &t in &classify_input {
                 let created = world.corpus.thread(t).created;
                 // Epoch 1 has no lower cutoff (pre-window threads are
-                // first-sighted there), matching the old filter.
+                // first-sighted there).
                 if carry.epoch > 0 && created <= prev_bound {
                     continue; // decided in an earlier advance
                 }
-                // A thread past the last bound is never decided this
-                // advance (same as the old `created <= cutoff` filter).
+                // A thread past the last bound is not decided this
+                // advance.
                 if let Some(i) = bounds.iter().position(|&b| created <= b) {
                     buckets[i].push(t);
                 }
             }
             for (fresh, &cutoff) in buckets.iter().zip(&bounds) {
                 if carry.model.is_none() {
-                    carry.model = bootstrap_at(
-                        &mut ctx.rng,
-                        &world.corpus,
-                        &world.catalog,
-                        &world.truth,
-                        fresh,
-                        cutoff,
-                        workers,
-                    );
-                }
-                let decided = match &carry.model {
-                    Some(model) => {
-                        model.decide_at(&world.corpus, &world.catalog, fresh, cutoff, workers)
-                    }
                     // Too few threads so far to draw an annotation
-                    // sample: the bootstrap waits for a later bucket,
-                    // and without a model nothing here is flagged.
-                    None => vec![(false, false); fresh.len()],
-                };
+                    // sample leaves the model `None`: the bootstrap
+                    // waits for a later bucket.
+                    carry.model =
+                        bootstrap_at(&mut ctx.rng, world, fresh, cutoff, workers, |train| {
+                            FeatureExtractor::fit_at(&world.corpus, train, cutoff, workers)
+                        });
+                }
+                let decided = decide_at(carry.model.as_ref(), world, fresh, cutoff, workers);
                 carry
                     .decisions
                     .extend(fresh.iter().zip(&decided).map(|(&t, &(ml, h))| (t, ml, h)));
@@ -135,51 +96,16 @@ impl Stage for TopClassifierStage {
                 .iter()
                 .map(|&(t, ml, h)| (t, (ml, h)))
                 .collect();
-            let mut detected = Vec::new();
-            let (mut ml_count, mut heuristic_count, mut both_count) = (0, 0, 0);
-            for &t in classify_input {
-                let (ml, heur) = by_thread.get(&t).copied().unwrap_or((false, false));
-                debug_assert!(by_thread.contains_key(&t), "undecided thread {t}");
-                ml_count += usize::from(ml);
-                heuristic_count += usize::from(heur);
-                both_count += usize::from(ml && heur);
-                if ml || heur {
-                    detected.push(t);
-                }
-            }
-            // No model means no thread has been first-sighted yet: nothing
-            // was decided, so the report has zero detections.
-            let (hybrid_metrics, ml_metrics, heuristic_metrics, sample_positives) =
-                match &carry.model {
-                    Some(m) => (
-                        m.hybrid_metrics,
-                        m.ml_metrics,
-                        m.heuristic_metrics,
-                        m.sample_positives,
-                    ),
-                    None => Default::default(),
-                };
-            TopClassification {
-                hybrid_metrics,
-                ml_metrics,
-                heuristic_metrics,
-                sample_positives,
-                detected,
-                ml_count,
-                heuristic_count,
-                both_count,
-                stream_index: Some(carry.index.stats()),
-            }
+            TopClassification::tally(
+                carry.model.as_ref(),
+                classify_input.iter().map(|&t| {
+                    debug_assert!(by_thread.contains_key(&t), "undecided thread {t}");
+                    (t, by_thread.get(&t).copied().unwrap_or_default())
+                }),
+                Some(carry.index.stats()),
+            )
         } else {
-            let (_classifier, topcls) = classify_tops(
-                &mut ctx.rng,
-                &world.corpus,
-                &world.catalog,
-                &world.truth,
-                classify_input,
-                ctx.options.workers,
-            );
-            topcls
+            classify_tops(&mut ctx.rng, world, &classify_input, ctx.options.workers).1
         };
         let items = classify_input.len();
         let set = require(&ctx.extraction, "extraction")?;
@@ -189,6 +115,31 @@ impl Stage for TopClassifierStage {
         ctx.forums = Some(forums);
         Ok(())
     }
+}
+
+/// The classifier's input filter: drops every thread whose feature
+/// inputs come back non-finite under the corruption plan, recording
+/// each in the ledger in input order, so the classifier only ever sees
+/// finite vectors. An inert plan drops nothing.
+pub(crate) fn quarantine_nonfinite_features(
+    threads: &mut Vec<ThreadId>,
+    plan: &CorruptionPlan,
+    ledger: &mut QuarantineLedger,
+) {
+    if !plan.is_enabled() {
+        return;
+    }
+    threads.retain(|&t| {
+        let finite = plan.feature_noise(t).is_finite();
+        if !finite {
+            ledger.record(
+                "top_classifier",
+                format!("thread/{}", t.0),
+                RecordErrorKind::NonFiniteFeature,
+            );
+        }
+        finite
+    });
 }
 
 /// Table 1 rows from the extraction and classification.

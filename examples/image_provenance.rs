@@ -19,14 +19,7 @@ fn main() {
     // Stage 1+2: find eWhoring threads, then the ones offering packs.
     let threads = extract_ewhoring_threads(&world.corpus).all_threads();
     let mut rng = synthrand::rng_from_seed(1);
-    let (_, tops) = classify_tops(
-        &mut rng,
-        &world.corpus,
-        &world.catalog,
-        &world.truth,
-        &threads,
-        1,
-    );
+    let (_, tops) = classify_tops(&mut rng, &world, &threads, 1);
     println!(
         "{} eWhoring threads; {} classified as offering packs (P={:.2} R={:.2})",
         threads.len(),

@@ -3,7 +3,9 @@
 //! deduplication of concurrent identical requests, and run-key
 //! isolation between different specs.
 
-use ewhoring_core::pipeline::{snapshot_json, Pipeline, RunCache, RunSpec, TimingSource};
+use ewhoring_core::pipeline::{
+    snapshot_json, Pipeline, RunCache, RunSpec, RunStatus, SpecError, StageError, TimingSource,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use worldgen::World;
@@ -125,4 +127,53 @@ fn different_seeds_get_distinct_keys_and_never_cross_contaminate() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spec whose pipeline fails comes back as the stage error instead of
+/// a panic, and the failure is cached: asking again does not re-run the
+/// pipeline.
+#[test]
+fn failing_run_returns_the_stage_error_and_is_cached() {
+    let cache = RunCache::in_memory();
+    let spec = RunSpec {
+        corruption: 1000.0,
+        ..tiny(6)
+    };
+    for _ in 0..2 {
+        let err = cache
+            .get_or_compute(&spec)
+            .expect_err("every extracted record is quarantined");
+        assert!(
+            matches!(
+                err,
+                StageError::Quarantined {
+                    stage: "extract",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+    assert_eq!(cache.computed_runs(), 1);
+    assert_eq!(
+        cache.status(&spec.run_key().expect("key")),
+        RunStatus::Failed
+    );
+}
+
+/// A spec no driver can execute is rejected before it claims a slot or
+/// starts a pipeline.
+#[test]
+fn invalid_spec_is_rejected_before_computing() {
+    let cache = RunCache::in_memory();
+    let spec = RunSpec {
+        epochs: 3,
+        shards: 2,
+        ..tiny(7)
+    };
+    assert_eq!(
+        cache.get_or_compute(&spec).map(|run| run.fresh),
+        Err(StageError::InvalidSpec(SpecError::ShardedStream))
+    );
+    assert_eq!(cache.computed_runs(), 0);
 }
